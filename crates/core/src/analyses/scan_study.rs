@@ -34,7 +34,7 @@ pub struct ScannerProfile {
 /// The scan study for one dataset.
 #[derive(Debug, Clone, Default)]
 pub struct ScanStudy {
-    /// Per-source profiles, busiest first.
+    /// Per-source profiles, busiest first (ties by ascending address).
     pub profiles: Vec<ScannerProfile>,
     /// Share of all connections that was scanner traffic (%), the paper's
     /// 4–18% removal band.
@@ -93,7 +93,10 @@ pub fn scan_study(traces: &DatasetTraces) -> ScanStudy {
             }
         })
         .collect();
-    profiles.sort_by_key(|p| std::cmp::Reverse(p.probes));
+    // Busiest first; equal probe counts fall back to source address, so
+    // neither the order nor which sources `scan_table` keeps depends on
+    // `by_src`'s iteration order.
+    profiles.sort_by_key(|p| (std::cmp::Reverse(p.probes), p.source.0));
     ScanStudy {
         removed_conn_pct: pct(removed, removed + kept),
         profiles,
@@ -212,6 +215,34 @@ mod tests {
         assert!((s.removed_conn_pct - 60.0 / 61.0 * 100.0).abs() < 1e-6);
         let table = scan_table(&[("D0", s)], 5);
         assert!(table.render().contains("internal"));
+    }
+
+    #[test]
+    fn tied_sources_render_identically_run_to_run() {
+        // Twelve sources with equal probe counts: before the address
+        // tie-break their order (and which 4 the table kept) followed each
+        // fresh map's random iteration order.
+        let mut t = TraceAnalysis::default();
+        for src in 0..12u8 {
+            for i in 0..3u8 {
+                t.scanner_conns.push(probe(
+                    ipv4::Addr::new(10, 100, 9, 200 - src),
+                    ipv4::Addr::new(10, 100, 3, i),
+                    80,
+                    u64::from(src) * 100 + u64::from(i),
+                    false,
+                ));
+            }
+        }
+        let traces = [t];
+        let render = || scan_table(&[("D0", scan_study(&traces))], 4).render();
+        let first = render();
+        for _ in 0..8 {
+            assert_eq!(render(), first, "scan table must not depend on map order");
+        }
+        let kept: Vec<u32> = scan_study(&traces).profiles.iter().take(4).map(|p| p.source.0).collect();
+        let lowest: Vec<u32> = (189..=192u8).map(|o| ipv4::Addr::new(10, 100, 9, o).0).collect();
+        assert_eq!(kept, lowest, "ties keep the lowest addresses");
     }
 
     #[test]

@@ -1130,35 +1130,51 @@ fn bench_schema(doc: &JsonValue) -> Result<&str, String> {
     Ok(schema)
 }
 
+/// Payload-delivery stages: on a header-only capture no payload reaches
+/// an analyzer, so these may be idle (see [`check_mandatory_stages`]).
+const DELIVERY_STAGES: [&str; 2] = ["tcp_deliver", "udp_deliver"];
+
 /// Check every `names` stage exists in the document's `stages` map with
 /// nonzero wall time and events (the instrumentation-rot check), pushing
-/// each into `summary`.
+/// each into `summary`. One exception: a delivery stage
+/// ([`DELIVERY_STAGES`]) may be *idle* — zero events and zero wall
+/// together — when the `analyzers` map records no events either, which
+/// is what a header-only capture produces. A stage with events but zero
+/// wall is always rot.
 fn check_mandatory_stages(
     doc: &JsonValue,
     names: &[&str],
     summary: &mut BenchSummary,
 ) -> Result<(), String> {
     let stages = doc.get("stages").ok_or("missing \"stages\" object")?;
+    let analyzers = doc.get("analyzers").ok_or("missing \"analyzers\" object")?;
+    let JsonValue::Object(analyzer_stats) = analyzers else {
+        return Err("\"analyzers\" is not an object".into());
+    };
+    let mut analyzer_events = 0u64;
+    for (name, stat) in analyzer_stats {
+        analyzer_events += stat_fields(stat, name)?.1;
+    }
     for &name in names {
         let stage = stages
             .get(name)
             .ok_or_else(|| format!("missing mandatory stage {name:?}"))?;
         let (wall_us, events, _bytes) = stat_fields(stage, name)?;
-        if wall_us <= 0.0 {
+        let idle_delivery = wall_us <= 0.0
+            && events == 0
+            && analyzer_events == 0
+            && DELIVERY_STAGES.contains(&name);
+        if !idle_delivery && wall_us <= 0.0 {
             return Err(format!(
                 "mandatory stage {name:?} has zero wall time — instrumentation rot?"
             ));
         }
-        if events == 0 {
+        if !idle_delivery && events == 0 {
             return Err(format!(
                 "mandatory stage {name:?} has zero events — instrumentation rot?"
             ));
         }
         summary.stages.push((name.to_string(), wall_us, events));
-    }
-    let analyzers = doc.get("analyzers").ok_or("missing \"analyzers\" object")?;
-    if !matches!(analyzers, JsonValue::Object(_)) {
-        return Err("\"analyzers\" is not an object".into());
     }
     Ok(())
 }
@@ -1168,7 +1184,8 @@ fn check_mandatory_stages(
 /// * `ent-bench-pipeline/1` (`BENCH_pipeline.json`): required run
 ///   parameters, the per-stage map with all [`MANDATORY_STAGES`] present,
 ///   and — the instrumentation-rot check — nonzero wall time *and* event
-///   counts for every mandatory stage.
+///   counts for every mandatory stage (delivery stages may be idle when
+///   no analyzer saw an event: a header-only capture).
 /// * `ent-bench-monitor/1` (`entreport monitor --bench-json`): the
 ///   [`MONITOR_NUMERIC_KEYS`] counters plus nonzero
 ///   [`MONITOR_MANDATORY_STAGES`].
@@ -2059,6 +2076,34 @@ mod tests {
         let err = validate_bench_json(&monitor_doc(&no_ckpt, &monitor_ctx()))
             .expect_err("zero checkpoint stage");
         assert!(err.message().contains("checkpoint"), "{err}");
+    }
+
+    #[test]
+    fn idle_delivery_stages_pass_only_when_no_analyzer_ran() {
+        // A header-only capture: no delivery, no analyzer events.
+        let mut header_only = monitor_metrics();
+        header_only.tcp_deliver = StageStat::default();
+        header_only.udp_deliver = StageStat::default();
+        header_only.analyzers = Default::default();
+        validate_bench_json(&monitor_doc(&header_only, &monitor_ctx()))
+            .expect("idle delivery on a header-only capture");
+        validate_bench_json(&bench_doc(&header_only)).expect("same rule for study docs");
+        // Idle delivery while an analyzer counted events is rot.
+        let mut orphan = header_only;
+        orphan.analyzers.http.add(200, 2, 20);
+        let err = validate_bench_json(&monitor_doc(&orphan, &monitor_ctx())).expect_err("orphan");
+        assert!(err.message().contains("tcp_deliver"), "{err}");
+        // Events without wall time is rot, idle or not.
+        let mut no_wall = header_only;
+        no_wall.tcp_deliver.events = 4;
+        let err = validate_bench_json(&monitor_doc(&no_wall, &monitor_ctx())).expect_err("no wall");
+        assert!(err.message().contains("zero wall time"), "{err}");
+        // Only delivery stages may idle.
+        let mut idle_finalize = header_only;
+        idle_finalize.finalize = StageStat::default();
+        let err = validate_bench_json(&monitor_doc(&idle_finalize, &monitor_ctx()))
+            .expect_err("idle finalize");
+        assert!(err.message().contains("finalize"), "{err}");
     }
 
     #[test]

@@ -345,7 +345,7 @@ mod tests {
         netmgnt(&mut c);
         let sap = c
             .out
-            .to_packets()
+            .captured_packets()
             .iter()
             .filter(|p| {
                 Packet::parse(&p.frame)
@@ -365,7 +365,7 @@ mod tests {
         let mut c = ctx(&site, &wan, &specs[2], 11);
         minor_transports(&mut c);
         assert!(!c.out.is_empty());
-        for p in &c.out.to_packets() {
+        for p in &c.out.captured_packets() {
             let pkt = Packet::parse(&p.frame).unwrap();
             assert!(matches!(pkt.transport, Transport::Other(_)));
         }
@@ -380,7 +380,7 @@ mod tests {
             icmp_echo(&mut c);
         }
         let (mut req, mut rep) = (0, 0);
-        for p in &c.out.to_packets() {
+        for p in &c.out.captured_packets() {
             match Packet::parse(&p.frame).unwrap().transport {
                 Transport::Icmp { mtype: ent_wire::icmp::MessageType::EchoRequest, .. } => req += 1,
                 Transport::Icmp { mtype: ent_wire::icmp::MessageType::EchoReply, .. } => rep += 1,

@@ -400,7 +400,7 @@ mod tests {
             let mut pool = Vec::new();
             browser_connection(&mut c, client, true, &mut pool);
         }
-        let sums = summaries(&c.out.to_packets());
+        let sums = summaries(&c.out.captured_packets());
         let (mut int_ok, mut int_all, mut wan_ok, mut wan_all) = (0.0, 0.0, 0.0, 0.0);
         for s in sums.iter().filter(|s| s.key.resp.port == 80) {
             let internal = crate::network::is_internal(s.key.resp.addr);
@@ -430,7 +430,7 @@ mod tests {
             automated_clients(&mut c);
         }
         let mut kinds = std::collections::HashSet::new();
-        for p in &c.out.to_packets() {
+        for p in &c.out.captured_packets() {
             let pkt = Packet::parse(&p.frame).unwrap();
             let payload = pkt.payload();
             if payload.starts_with(b"GET") || payload.starts_with(b"POST") {
@@ -453,7 +453,7 @@ mod tests {
         let specs = all_datasets();
         let mut c = ctx(&site, &wan, &specs[4], 28);
         https_traffic(&mut c);
-        let sums = summaries(&c.out.to_packets());
+        let sums = summaries(&c.out.captured_packets());
         use std::collections::HashMap;
         let mut pairs: HashMap<_, usize> = HashMap::new();
         for s in sums.iter().filter(|s| s.key.resp.port == 443) {

@@ -388,7 +388,7 @@ mod tests {
         for _ in 0..250 {
             cifs_session(&mut c);
         }
-        let sums = summaries(&c.out.to_packets());
+        let sums = summaries(&c.out.captured_packets());
         let rate = |port: u16| {
             let all: Vec<_> = sums.iter().filter(|s| s.key.resp.port == port).collect();
             let ok = all
@@ -428,7 +428,7 @@ mod tests {
                     .feed(dir == Dir::Orig, data);
             }
         }
-        let mut sorted = c.out.to_packets();
+        let mut sorted = c.out.captured_packets();
         sorted.sort_by_key(|p| p.ts);
         let mut table = ConnTable::new(TableConfig::default());
         let mut h = H::default();
@@ -471,7 +471,7 @@ mod tests {
         for _ in 0..30 {
             epmapper_then_dcerpc(&mut c);
         }
-        let sums = summaries(&c.out.to_packets());
+        let sums = summaries(&c.out.captured_packets());
         let epm: Vec<_> = sums.iter().filter(|s| s.key.resp.port == 135).collect();
         let mapped: Vec<_> = sums.iter().filter(|s| s.key.resp.port >= 49_152).collect();
         assert!(!epm.is_empty() && !mapped.is_empty());

@@ -138,7 +138,9 @@ pub fn generate_trace_arena(
 /// [`generate_trace_arena`] into a caller-owned arena, so a worker loop
 /// can reuse one arena's buffers across many traces: after the first
 /// trace the steady-state emission path performs no heap allocation at
-/// all. The arena is cleared (capacity kept) before generation.
+/// all. The arena is cleared (capacity kept) before generation, and its
+/// snaplen is set to the dataset's: it stores at most `spec.snaplen`
+/// bytes of each frame, the bytes the capture tap keeps.
 pub fn generate_trace_into(
     site: &Site,
     wan: &WanPool,
@@ -185,7 +187,10 @@ where
         *acc += now.duration_since(clock).as_nanos() as u64;
         clock = now;
     };
-    let staged = std::mem::replace(arena, ent_pcap::PacketArena::unbounded());
+    let mut staged = std::mem::replace(arena, ent_pcap::PacketArena::unbounded());
+    // Capture-shaped emission: the arena keeps only the bytes the tap
+    // below keeps, so header-only datasets never store payload.
+    staged.set_snaplen(spec.snaplen as usize);
     let mut ctx = TraceCtx::with_arena(rng, site, wan, spec, subnet, config.scale, staged);
     apps::generate_all(&mut ctx);
     actors(&mut ctx);

@@ -328,8 +328,9 @@ impl<R: Rng + ?Sized> TcpSim<'_, R> {
             return;
         }
         let tmpl = if from_client { &self.c_tmpl } else { &self.s_tmpl };
-        build::tcp_frame_split_into(tmpl, seq, ack, flags, payload, self.out.frame_buf());
-        self.out.commit(ts);
+        let cap = self.out.snaplen();
+        build::tcp_frame_split_into(tmpl, seq, ack, flags, payload, cap, self.out.frame_buf());
+        self.out.commit(ts, wire);
     }
 
     fn run(mut self) {
@@ -536,7 +537,7 @@ pub fn synth_tcp<R: Rng + ?Sized>(spec: &TcpSessionSpec, rng: &mut R) -> Vec<Tim
     let mut arena = PacketArena::unbounded();
     emit_tcp(spec, rng, &mut arena, Clip::Counted);
     arena.sort_records();
-    arena.to_packets()
+    arena.captured_packets()
 }
 
 /// One UDP message in a flow script.
@@ -616,9 +617,11 @@ pub fn emit_udp(spec: &UdpFlowSpec, out: &mut PacketArena, clip: Clip) {
         } else {
             (&s_tmpl, t + spec.half_rtt_us)
         };
-        if out.admit(ts, clip, (build::UDP_HDR_LEN + m.payload.len()) as u64) {
-            build::udp_frame_split_into(tmpl, m.payload.split(), out.frame_buf());
-            out.commit(ts);
+        let wire = (build::UDP_HDR_LEN + m.payload.len()) as u64;
+        if out.admit(ts, clip, wire) {
+            let cap = out.snaplen();
+            build::udp_frame_split_into(tmpl, m.payload.split(), cap, out.frame_buf());
+            out.commit(ts, wire);
         }
     }
 }
@@ -629,7 +632,7 @@ pub fn synth_udp(spec: &UdpFlowSpec) -> Vec<TimedPacket> {
     let mut arena = PacketArena::unbounded();
     emit_udp(spec, &mut arena, Clip::Counted);
     arena.sort_records();
-    arena.to_packets()
+    arena.captured_packets()
 }
 
 /// The fixed 56-byte echo payload (classic `ping` pattern byte).
@@ -664,7 +667,7 @@ pub fn emit_icmp_echo(
                 &ICMP_PAYLOAD,
                 out.frame_buf(),
             );
-            out.commit(t);
+            out.commit(t, wire);
         }
         if answered {
             let tr = t + rtt_us;
@@ -680,7 +683,7 @@ pub fn emit_icmp_echo(
                     &ICMP_PAYLOAD,
                     out.frame_buf(),
                 );
-                out.commit(tr);
+                out.commit(tr, wire);
             }
         }
     }
@@ -699,7 +702,7 @@ pub fn synth_icmp_echo(
 ) -> Vec<TimedPacket> {
     let mut arena = PacketArena::unbounded();
     emit_icmp_echo(start, client, server, rtt_us, ident, count, answered, &mut arena, Clip::Counted);
-    arena.to_packets()
+    arena.captured_packets()
 }
 
 #[cfg(test)]

@@ -80,6 +80,7 @@ impl Default for LintConfig {
                 "crates/core/src/shard.rs",
             ]),
             hot_alloc_files: v(&[
+                "crates/pcap/src/arena.rs",
                 "crates/gen/src/synth.rs",
                 "crates/wire/src/build.rs",
                 "crates/gen/src/apps/mod.rs",

@@ -7,8 +7,15 @@
 //! growing buffer and represents each packet as a `(ts, offset, len)`
 //! record. Sessions append frames via [`PacketArena::frame_buf`] +
 //! [`PacketArena::commit`]; the trace assembly then orders records with
-//! [`PacketArena::sort_records`] and materializes the surviving
-//! post-[`Tap`](crate::Tap) packets in one pass.
+//! [`PacketArena::sort_records`] and applies the capture
+//! [`Tap`](crate::Tap)'s drops in place.
+//!
+//! The arena is *capture-shaped*: with a snaplen set
+//! ([`PacketArena::set_snaplen`]) it stores at most that many bytes of
+//! each frame, the bytes a tap with that snaplen would keep, while each
+//! record still carries the frame's wire length. Emitters read the cap
+//! from [`PacketArena::snaplen`] and write no byte past it; `commit`
+//! truncates whatever they wrote beyond it.
 //!
 //! The arena also owns the monitoring-window cutoff that used to be a
 //! post-hoc `retain`: [`PacketArena::admit`] rejects packets timestamped
@@ -18,6 +25,13 @@
 
 use crate::{Tap, TimedPacket};
 use ent_wire::Timestamp;
+
+/// Largest frame a writer appends: a maximal IPv4 datagram plus its
+/// Ethernet header. A snaplen below it bounds the frame instead.
+const MAX_FRAME: usize = 65_535 + 14;
+
+/// Smallest growth step of the byte buffer.
+const MIN_GROWTH: usize = 64 * 1024;
 
 /// How an out-of-window packet at an emission site is accounted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +46,10 @@ pub enum Clip {
 }
 
 /// One staged packet: timestamp plus the frame's span in the byte buffer.
-/// `cap` is the captured length — equal to `len` until
-/// [`PacketArena::apply_tap`] clamps it to the snaplen. `label` is the
+/// `len` is the wire length; `cap` is the captured length, the bytes at
+/// `off` that belong to this record — the stored prefix (at most the
+/// arena's snaplen) until [`PacketArena::apply_tap`] clamps it to the
+/// tap's snaplen, so `cap ≤ stored ≤ len` always holds. `label` is the
 /// ground-truth tag active at commit time (see
 /// [`PacketArena::set_label`]); it rides with the record through
 /// [`PacketArena::sort_records`] and [`PacketArena::apply_tap`] but
@@ -55,6 +71,8 @@ pub struct PacketArena {
     recs: Vec<Rec>,
     /// Monitoring-window limit: packets with `ts >= limit` are refused.
     limit: Timestamp,
+    /// Bytes of each frame kept in `buf` (`usize::MAX`: whole frames).
+    snaplen: usize,
     /// Start of the frame currently being built in `buf`.
     watermark: u64,
     /// Wire bytes of all committed records.
@@ -68,12 +86,16 @@ pub struct PacketArena {
 }
 
 impl PacketArena {
-    /// An arena admitting packets strictly before `limit`.
+    /// An arena admitting packets strictly before `limit` and storing
+    /// whole frames.
     pub fn new(limit: Timestamp) -> PacketArena {
         PacketArena {
+            // ent-lint: allow(E002) — constructor: empty buffers, no heap
             buf: Vec::new(),
+            // ent-lint: allow(E002) — constructor: empty buffers, no heap
             recs: Vec::new(),
             limit,
+            snaplen: usize::MAX,
             watermark: 0,
             wire_bytes: 0,
             ghost_packets: 0,
@@ -91,6 +113,20 @@ impl PacketArena {
     /// [`PacketArena::clear`] keeps the old limit).
     pub fn set_limit(&mut self, limit: Timestamp) {
         self.limit = limit;
+    }
+
+    /// Store at most `snaplen` bytes of each frame committed from now on
+    /// (`usize::MAX`, the default, stores whole frames). Set it to the
+    /// capture tap's snaplen and the arena holds exactly the bytes the
+    /// tap keeps. [`PacketArena::clear`] keeps it, like the window limit.
+    pub fn set_snaplen(&mut self, snaplen: usize) {
+        self.snaplen = snaplen;
+    }
+
+    /// The capture cap emitters pass to the frame builders: they write no
+    /// byte of a frame past it.
+    pub fn snaplen(&self) -> usize {
+        self.snaplen
     }
 
     /// Set the ground-truth label stamped onto every record committed
@@ -123,35 +159,58 @@ impl PacketArena {
     }
 
     /// The byte buffer, positioned for appending one frame. Callers
-    /// extend it (e.g. via `ent_wire::build::tcp_frame_into`) then call
-    /// [`PacketArena::commit`] with the packet timestamp.
+    /// extend it (e.g. via `ent_wire::build::tcp_frame_split_into`, capped
+    /// at [`PacketArena::snaplen`]) then call [`PacketArena::commit`].
     pub fn frame_buf(&mut self) -> &mut Vec<u8> {
+        self.reserve_frame();
         &mut self.buf
     }
 
-    /// Record the frame appended since the last commit as one packet.
-    pub fn commit(&mut self, ts: Timestamp) {
+    /// Make room for one more frame. The buffer grows by an eighth of its
+    /// capacity, not by `Vec`'s doubling, so its footprint stays within
+    /// about 12% of the bytes it stores: a trace that needs 43 MiB gets
+    /// ~48 MiB, where doubling would hand it 84 MiB.
+    fn reserve_frame(&mut self) {
+        let frame = self.snaplen.min(MAX_FRAME);
+        if self.buf.capacity() - self.buf.len() < frame {
+            let step = frame.max(self.buf.capacity() / 8).max(MIN_GROWTH);
+            self.buf.reserve_exact(step);
+        }
+    }
+
+    /// Record the frame appended since the last commit as one packet of
+    /// `wire_len` bytes on the wire. At most the snaplen (and never more
+    /// than `wire_len`) of the appended bytes is kept; the rest is
+    /// truncated away, so the next frame starts right after the stored
+    /// prefix.
+    pub fn commit(&mut self, ts: Timestamp, wire_len: u64) {
         let off = self.watermark;
-        let end = self.buf.len() as u64;
-        let frame_bytes = end.saturating_sub(off);
+        let written = (self.buf.len() as u64).saturating_sub(off);
+        let stored = written.min(self.snaplen as u64).min(wire_len);
+        let end = off + stored;
+        self.buf.truncate(end as usize);
         self.watermark = end;
-        self.wire_bytes += frame_bytes;
+        self.wire_bytes += wire_len;
         self.recs.push(Rec {
             ts,
             off,
-            len: frame_bytes as u32,
-            cap: frame_bytes as u32,
+            len: wire_len as u32,
+            cap: stored as u32,
             label: self.cur_label,
         });
     }
 
-    /// Convenience: admit + append a prebuilt frame + commit.
+    /// Convenience: admit + append a prebuilt frame (its first snaplen
+    /// bytes) + commit.
     pub fn push_frame(&mut self, ts: Timestamp, clip: Clip, frame: &[u8]) {
-        if !self.admit(ts, clip, frame.len() as u64) {
+        let wire_len = frame.len() as u64;
+        if !self.admit(ts, clip, wire_len) {
             return;
         }
-        self.buf.extend_from_slice(frame);
-        self.commit(ts);
+        let (kept, _) = frame.split_at(frame.len().min(self.snaplen));
+        self.reserve_frame();
+        self.buf.extend_from_slice(kept);
+        self.commit(ts, wire_len);
     }
 
     /// Committed (in-window) packets.
@@ -193,17 +252,19 @@ impl PacketArena {
     }
 
     /// Run every record through a capture tap *in place*: snaplen clamps
-    /// the captured length, injected drops remove the record. No frame
-    /// bytes move. Returns the total captured (post-snaplen) bytes.
-    /// Call after [`PacketArena::sort_records`] so the tap's periodic
-    /// drop counter walks the trace in time order.
+    /// the captured length to `min(tap snaplen, stored)`, injected drops
+    /// remove the record. No frame bytes move, and a tap wider than the
+    /// arena's snaplen keeps only the stored prefix. Returns the total
+    /// captured (post-snaplen) bytes. Call after
+    /// [`PacketArena::sort_records`] so the tap's periodic drop counter
+    /// walks the trace in time order.
     pub fn apply_tap(&mut self, tap: &mut Tap) -> u64 {
         let mut captured = 0u64;
         let mut dropped_wire = 0u64;
         self.recs.retain_mut(|r| match tap.admit(r.len as usize) {
             Some(cap) => {
-                r.cap = cap as u32;
-                captured += cap as u64;
+                r.cap = r.cap.min(cap as u32);
+                captured += r.cap as u64;
                 true
             }
             None => {
@@ -250,47 +311,17 @@ impl PacketArena {
         counts.into_iter().collect()
     }
 
-    /// Materialize the captured packets (post-[`PacketArena::apply_tap`])
-    /// as owned [`TimedPacket`]s, one bounded copy per packet.
+    /// Materialize the captured packets in record order as owned
+    /// [`TimedPacket`]s, one bounded copy per packet: the stored frames,
+    /// clamped by any [`PacketArena::apply_tap`].
     pub fn captured_packets(&self) -> Vec<TimedPacket> {
         self.captured_frames()
-            .map(|(ts, frame, orig_len)| TimedPacket {
-                ts,
-                frame: frame.to_vec(),
-                orig_len,
-            })
+            .map(|(ts, frame, orig_len)| TimedPacket::captured(ts, frame, orig_len))
             .collect()
     }
 
-    /// Materialize the packets in record order through a capture tap
-    /// (snaplen clamp + injected drops), one bounded copy per packet.
-    pub fn capture(&self, tap: &mut Tap) -> Vec<TimedPacket> {
-        let mut out = Vec::with_capacity(self.recs.len());
-        for r in &self.recs {
-            let Some(cap) = tap.admit(r.len as usize) else {
-                continue;
-            };
-            let start = r.off as usize;
-            let Some(frame) = self.buf.get(start..start.saturating_add(cap)) else {
-                continue;
-            };
-            out.push(TimedPacket {
-                ts: r.ts,
-                frame: frame.to_vec(),
-                orig_len: r.len,
-            });
-        }
-        out
-    }
-
-    /// Materialize every packet in record order, full frames (no tap).
-    pub fn to_packets(&self) -> Vec<TimedPacket> {
-        let mut tap = Tap::new(usize::MAX);
-        self.capture(&mut tap)
-    }
-
     /// Drop all packets and bytes, keeping allocated capacity (and the
-    /// window limit) for reuse.
+    /// window limit and snaplen) for reuse.
     pub fn clear(&mut self) {
         self.buf.clear();
         self.recs.clear();
@@ -314,13 +345,13 @@ mod tests {
     fn commit_records_spans_and_counts() {
         let mut a = PacketArena::unbounded();
         a.frame_buf().extend_from_slice(&[1, 2, 3]);
-        a.commit(ts(5));
+        a.commit(ts(5), 3);
         a.frame_buf().extend_from_slice(&[4, 5]);
-        a.commit(ts(2));
+        a.commit(ts(2), 2);
         assert_eq!(a.len(), 2);
         assert_eq!(a.logical_len(), 2);
         assert_eq!(a.logical_wire_bytes(), 5);
-        let pkts = a.to_packets();
+        let pkts = a.captured_packets();
         assert_eq!(pkts[0].frame, vec![1, 2, 3]);
         assert_eq!(pkts[0].ts, ts(5));
         assert_eq!(pkts[1].frame, vec![4, 5]);
@@ -331,10 +362,10 @@ mod tests {
         let mut a = PacketArena::unbounded();
         for (t, b) in [(9u64, 0u8), (3, 1), (9, 2), (1, 3)] {
             a.frame_buf().push(b);
-            a.commit(ts(t));
+            a.commit(ts(t), 1);
         }
         a.sort_records();
-        let order: Vec<u8> = a.to_packets().iter().map(|p| p.frame[0]).collect();
+        let order: Vec<u8> = a.captured_packets().iter().map(|p| p.frame[0]).collect();
         // Equal ts=9 packets keep emission order (0 before 2).
         assert_eq!(order, vec![3, 1, 0, 2]);
     }
@@ -344,7 +375,7 @@ mod tests {
         let mut a = PacketArena::new(ts(100));
         assert!(a.admit(ts(99), Clip::Counted, 60));
         a.frame_buf().extend_from_slice(&[0; 60]);
-        a.commit(ts(99));
+        a.commit(ts(99), 60);
         assert!(!a.admit(ts(100), Clip::Counted, 70));
         assert!(!a.admit(ts(500), Clip::Silent, 80));
         assert_eq!(a.len(), 1);
@@ -353,17 +384,47 @@ mod tests {
     }
 
     #[test]
-    fn capture_applies_snaplen_and_drops() {
+    fn snaplen_arena_stores_prefix_and_keeps_wire_len() {
         let mut a = PacketArena::unbounded();
-        for i in 0..10u8 {
+        a.set_snaplen(68);
+        for i in 0..4u8 {
+            // A writer that ignores the cap: commit truncates the excess.
             a.frame_buf().extend_from_slice(&[i; 100]);
-            a.commit(ts(i as u64));
+            a.commit(ts(u64::from(i)), 100);
         }
-        let mut tap = Tap::new(68).with_drop_period(5);
-        let pkts = a.capture(&mut tap);
-        assert_eq!(pkts.len(), 8, "every 5th packet dropped");
-        assert!(pkts.iter().all(|p| p.frame.len() == 68 && p.orig_len == 100));
-        assert_eq!(tap.dropped(), 2);
+        a.push_frame(ts(9), Clip::Counted, &[7; 150]);
+        a.push_frame(ts(10), Clip::Counted, &[8; 40]);
+        assert_eq!(a.frame_buf().len(), 5 * 68 + 40, "only stored prefixes stay");
+        assert_eq!(a.wire_bytes(), 4 * 100 + 150 + 40, "wire bytes are wire lengths");
+        let views: Vec<_> = a.captured_frames().collect();
+        assert_eq!(views.len(), 6);
+        for (i, (_, frame, orig)) in views.iter().enumerate().take(4) {
+            assert_eq!((frame.len(), *orig), (68, 100));
+            assert!(frame.iter().all(|&b| usize::from(b) == i), "no bytes of a neighbour");
+        }
+        assert_eq!((views[4].1.len(), views[4].2), (68, 150));
+        assert_eq!((views[5].1.len(), views[5].2), (40, 40));
+        // Stored bytes never exceed the wire length a writer reported.
+        a.frame_buf().extend_from_slice(&[9; 50]);
+        a.commit(ts(11), 30);
+        assert_eq!(a.captured_frames().last().map(|(_, f, o)| (f.len(), o)), Some((30, 30)));
+        // clear keeps the snaplen, like the window limit.
+        a.clear();
+        a.push_frame(ts(1), Clip::Counted, &[1; 90]);
+        assert_eq!(a.captured_packets()[0].frame.len(), 68);
+    }
+
+    #[test]
+    fn buffer_grows_in_steps_not_doubling() {
+        let mut a = PacketArena::unbounded();
+        a.set_snaplen(68);
+        for i in 0..200_000u64 {
+            a.push_frame(ts(i), Clip::Counted, &[7; 1_500]);
+            let buf = a.frame_buf();
+            let slack = buf.capacity() - buf.len();
+            assert!(slack <= (buf.len() / 8).max(MIN_GROWTH) + 68, "slack {slack} at {}", buf.len());
+        }
+        assert_eq!(a.frame_buf().len(), 200_000 * 68);
     }
 
     #[test]
@@ -371,7 +432,7 @@ mod tests {
         let mut a = PacketArena::unbounded();
         for i in 0..10u8 {
             a.frame_buf().extend_from_slice(&[i; 100]);
-            a.commit(ts(i as u64));
+            a.commit(ts(i as u64), 100);
         }
         let mut tap = Tap::new(68).with_drop_period(5);
         let captured = a.apply_tap(&mut tap);
@@ -395,7 +456,7 @@ mod tests {
         assert_eq!(a.current_label(), 7);
         a.push_frame(ts(2), Clip::Counted, &[2; 4]);
         a.frame_buf().extend_from_slice(&[3; 4]);
-        a.commit(ts(3));
+        a.commit(ts(3), 4);
         a.set_label(0);
         a.push_frame(ts(4), Clip::Counted, &[4; 4]);
         let labels: Vec<u32> = a.labeled_frames().map(|(_, _, _, l)| l).collect();
@@ -445,6 +506,6 @@ mod tests {
         assert_eq!(a.logical_wire_bytes(), 0);
         // Reusable after clear, same limit.
         a.push_frame(ts(2), Clip::Counted, &[9; 3]);
-        assert_eq!(a.to_packets()[0].frame, vec![9, 9, 9]);
+        assert_eq!(a.captured_packets()[0].frame, vec![9, 9, 9]);
     }
 }

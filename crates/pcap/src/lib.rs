@@ -67,6 +67,16 @@ impl TimedPacket {
         TimedPacket { ts, frame, orig_len }
     }
 
+    /// An owned copy of captured bytes `frame` of a packet that was
+    /// `orig_len` bytes on the wire.
+    pub fn captured(ts: Timestamp, frame: &[u8], orig_len: u32) -> TimedPacket {
+        TimedPacket {
+            ts,
+            frame: frame.to_vec(),
+            orig_len,
+        }
+    }
+
     /// Truncate the captured bytes to `snaplen`, preserving `orig_len`.
     pub fn truncate_to(&mut self, snaplen: usize) {
         if self.frame.len() > snaplen {

@@ -445,11 +445,8 @@ impl<'a> RecoveringReader<'a> {
     /// A copying convenience wrapper around [`RecoveringReader::next_record`].
     #[allow(clippy::should_implement_trait)] // mirrors PcapReader::next_packet
     pub fn next_packet(&mut self) -> Option<TimedPacket> {
-        self.next_record().map(|r| TimedPacket {
-            ts: r.ts,
-            frame: r.frame.to_vec(),
-            orig_len: r.orig_len,
-        })
+        self.next_record()
+            .map(|r| TimedPacket::captured(r.ts, r.frame, r.orig_len))
     }
 
     /// Drain every salvageable record and return the final damage tally.

@@ -266,7 +266,7 @@ pub fn tcp_frame_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
-    tcp_frame_split_into(t, seq, ack, flags, SplitPayload::contiguous(payload), out);
+    tcp_frame_split_into(t, seq, ack, flags, SplitPayload::contiguous(payload), usize::MAX, out);
 }
 
 /// A logical payload expressed as a literal head followed by a run of one
@@ -277,7 +277,8 @@ pub fn tcp_frame_into(
 /// constant filler. Materialising that filler just to checksum and copy it
 /// dominated `gen_synth`; the split form lets the frame writers compute the
 /// fill's ones-complement contribution in O(1) and emit it with a single
-/// `resize` (memset) instead of a build-sum-copy triple pass.
+/// `resize` (memset) instead of a build-sum-copy triple pass — or, under a
+/// capture cap, not emit it at all.
 #[derive(Debug, Clone, Copy)]
 pub struct SplitPayload<'a> {
     /// Literal leading bytes.
@@ -323,22 +324,34 @@ impl<'a> SplitPayload<'a> {
         }
         s
     }
-
-    /// Append the logical bytes to `out` (head copy + one memset).
-    fn write_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.head);
-        out.resize(out.len() + self.fill_len, self.fill);
-    }
 }
 
-/// Append one TCP frame with a split payload to `out`; byte-identical to
-/// [`tcp_frame_into`] over the concatenated payload.
+/// Append the first `cap` bytes of `hdr ∥ payload` to `out`: the header
+/// image, the payload head, then the fill run (one memset), each cut where
+/// the cap runs out. With `cap ≥ hdr.len() + payload.len()` this is the
+/// whole frame; below it, no byte past the cap is copied or set.
+fn write_capped(hdr: &[u8], payload: &SplitPayload<'_>, cap: usize, out: &mut Vec<u8>) {
+    let (hdr, _) = hdr.split_at(cap.min(hdr.len()));
+    out.extend_from_slice(hdr);
+    let room = cap - hdr.len();
+    let (head, _) = payload.head.split_at(room.min(payload.head.len()));
+    out.extend_from_slice(head);
+    let room = room - head.len();
+    out.resize(out.len() + room.min(payload.fill_len), payload.fill);
+}
+
+/// Append the first `cap` bytes of one TCP frame with a split payload to
+/// `out` (`usize::MAX`: the whole frame, byte-identical to
+/// [`tcp_frame_into`] over the concatenated payload). The checksums always
+/// cover the full logical payload, so a capped frame is the exact prefix
+/// of the whole one — what a capture with snaplen `cap` records.
 pub fn tcp_frame_split_into(
     t: &TcpTemplate,
     seq: u32,
     ack: u32,
     flags: tcp::Flags,
     payload: SplitPayload<'_>,
+    cap: usize,
     out: &mut Vec<u8>,
 ) {
     let mut hdr = t.hdr;
@@ -364,13 +377,18 @@ pub fn tcp_frame_split_into(
         + flags.0 as u32
         + payload.sum();
     crate::put_be16(&mut hdr, 50, fold_sum(sum));
-    out.extend_from_slice(&hdr);
-    payload.write_into(out);
+    write_capped(&hdr, &payload, cap, out);
 }
 
-/// Append one UDP frame with a split payload to `out`; byte-identical to
-/// [`udp_frame_into`] over the concatenated payload.
-pub fn udp_frame_split_into(t: &UdpTemplate, payload: SplitPayload<'_>, out: &mut Vec<u8>) {
+/// Append the first `cap` bytes of one UDP frame with a split payload to
+/// `out`; the UDP analogue of [`tcp_frame_split_into`] (`usize::MAX` is
+/// byte-identical to [`udp_frame_into`] over the concatenated payload).
+pub fn udp_frame_split_into(
+    t: &UdpTemplate,
+    payload: SplitPayload<'_>,
+    cap: usize,
+    out: &mut Vec<u8>,
+) {
     let mut hdr = t.hdr;
     let total = (UDP_HDR_LEN - 14 + payload.len()) as u16;
     let dg_len = (UDP_HDR_LEN - NET_HDR_LEN + payload.len()) as u16;
@@ -388,8 +406,7 @@ pub fn udp_frame_split_into(t: &UdpTemplate, payload: SplitPayload<'_>, out: &mu
     let ck = fold_sum(t.udp_static + 2 * dg_len as u32 + payload.sum());
     // Per RFC 768 a computed checksum of zero is transmitted as all-ones.
     crate::put_be16(&mut hdr, 40, if ck == 0 { 0xFFFF } else { ck });
-    out.extend_from_slice(&hdr);
-    payload.write_into(out);
+    write_capped(&hdr, &payload, cap, out);
 }
 
 /// Per-session UDP frame template (see [`TcpTemplate`]).
@@ -434,7 +451,7 @@ impl UdpTemplate {
 /// Append one UDP frame built from `t` to `out`; byte-identical to
 /// [`udp_frame`] for the same payload.
 pub fn udp_frame_into(t: &UdpTemplate, payload: &[u8], out: &mut Vec<u8>) {
-    udp_frame_split_into(t, SplitPayload::contiguous(payload), out);
+    udp_frame_split_into(t, SplitPayload::contiguous(payload), usize::MAX, out);
 }
 
 /// Append one ICMP frame to `out`; byte-identical to [`icmp_frame`].
@@ -729,16 +746,61 @@ mod tests {
                     let mut want = Vec::new();
                     tcp_frame_into(&tt, seq, ack, tcp::Flags::ACK, &concat, &mut want);
                     let mut got = Vec::new();
-                    tcp_frame_split_into(&tt, seq, ack, tcp::Flags::ACK, split, &mut got);
+                    tcp_frame_split_into(&tt, seq, ack, tcp::Flags::ACK, split, usize::MAX, &mut got);
                     assert_eq!(got, want, "tcp split mismatch head={head:?} fill={fill} n={fill_len}");
 
                     let mut want = Vec::new();
                     udp_frame_into(&ut, &concat, &mut want);
                     let mut got = Vec::new();
-                    udp_frame_split_into(&ut, split, &mut got);
+                    udp_frame_split_into(&ut, split, usize::MAX, &mut got);
                     assert_eq!(got, want, "udp split mismatch head={head:?} fill={fill} n={fill_len}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn capped_frames_are_prefixes_of_whole_frames() {
+        // Caps inside the header, at its end, inside the head, inside the
+        // fill and past the frame: the capped write is always the whole
+        // frame's prefix (checksums over the full payload) and never
+        // touches more than `cap` bytes.
+        let tt = TcpTemplate::new(&TcpFrameSpec {
+            src_mac: ethernet::MacAddr::from_host_id(5),
+            dst_mac: ethernet::MacAddr::from_host_id(6),
+            src_ip: ipv4::Addr::new(10, 2, 3, 4),
+            dst_ip: ipv4::Addr::new(10, 5, 6, 7),
+            src_port: 445,
+            dst_port: 51_000,
+            seq: 0,
+            ack: 0,
+            flags: tcp::Flags::NONE,
+            window: 65_535,
+            ttl: 64,
+        });
+        let ut = UdpTemplate::new(&UdpFrameSpec {
+            src_mac: ethernet::MacAddr::from_host_id(5),
+            dst_mac: ethernet::MacAddr::from_host_id(6),
+            src_ip: ipv4::Addr::new(10, 2, 3, 4),
+            dst_ip: ipv4::Addr::new(10, 5, 6, 7),
+            src_port: 2049,
+            dst_port: 800,
+            ttl: 64,
+        });
+        let split = SplitPayload { head: b"READ reply head", fill: 0x4E, fill_len: 1_000 };
+        for cap in [0usize, 1, 20, 42, 54, 60, 68, 69, 100, 1_068, 1_500, usize::MAX] {
+            let mut whole = Vec::new();
+            tcp_frame_split_into(&tt, 7, 9, tcp::Flags::ACK, split, usize::MAX, &mut whole);
+            let mut got = vec![0xEE];
+            tcp_frame_split_into(&tt, 7, 9, tcp::Flags::ACK, split, cap, &mut got);
+            assert_eq!(got.first(), Some(&0xEE), "earlier bytes untouched");
+            assert_eq!(&got[1..], &whole[..cap.min(whole.len())], "tcp cap {cap}");
+
+            let mut whole = Vec::new();
+            udp_frame_split_into(&ut, split, usize::MAX, &mut whole);
+            let mut got = Vec::new();
+            udp_frame_split_into(&ut, split, cap, &mut got);
+            assert_eq!(got, &whole[..cap.min(whole.len())], "udp cap {cap}");
         }
     }
 

@@ -10,6 +10,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> allocation pins on one test thread"
+# The pins count per thread, so they hold on any --test-threads count;
+# the multi-threaded run above and this serial one must both pass.
+cargo test -q -p ent-integration --test alloc_pin -- --test-threads=1
+
 echo "==> cargo clippy --workspace --all-targets (warnings denied)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1,5 +1,7 @@
 //! Shared helpers for the cross-crate integration tests.
 
+pub mod alloc_count;
+
 use ent_core::run::{run_dataset, run_datasets, DatasetAnalysis, StudyConfig};
 use ent_core::PipelineConfig;
 use ent_gen::dataset::{all_datasets, DatasetSpec};

@@ -8,52 +8,26 @@
 //! connections are open — so a reintroduced per-conn clone/box shows up as
 //! an O(n) allocation count, not a silent perf regression.
 //!
-//! The counting allocator is the one sanctioned use of `unsafe` in the
-//! workspace (the `GlobalAlloc` trait has no safe incantation); it defers
-//! entirely to `System` and only increments an atomic.
+//! The counting allocator is `ent_integration::alloc_count`'s: it counts
+//! only the calling thread's allocations, so the pins hold however many
+//! harness threads run sibling tests beside them.
 
-#![allow(unsafe_code)]
 // Test assertions may abort.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ent_core::{Monitor, MonitorConfig};
+use ent_integration::alloc_count::{self, CountingAlloc};
 use ent_flow::{
     shard_of_key, shard_of_packet, shard_of_pair, ConnSummary, ConnTable, Endpoint, FlowHandler,
     FlowKey, Proto, TableConfig,
 };
 use ent_pcap::TraceMeta;
 use ent_wire::{build, ethernet::MacAddr, ipv4::Addr, Packet, Timestamp};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
-
-/// Serializes the counting windows: the harness runs tests on parallel
-/// threads, and `COUNTING`/`ALLOCS` are process-global, so an unrelated
-/// test allocating mid-window would produce a spurious count.
-static GATE: Mutex<()> = Mutex::new(());
 
 /// Compile-time proof that `ConnSummary` stays `Copy` (the property that
 /// makes clone-free finalize possible; see `crates/flow/src/summary.rs`).
 const fn assert_copy<T: Copy>() {}
 const _: () = assert_copy::<ConnSummary>();
-
-struct CountingAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -97,14 +71,8 @@ fn finish_alloc_count(n: u16) -> (u64, u64) {
         let pkt = Packet::parse(&frame).expect("generated frame parses");
         table.ingest(&pkt, Timestamp::from_micros(u64::from(i)), &mut sink);
     }
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
-    table.finish(Timestamp::from_secs(10), &mut sink);
-    COUNTING.store(false, Relaxed);
-    let allocs = ALLOCS.load(Relaxed);
-    drop(guard);
-    (allocs, sink.closed)
+    let ((), tally) = alloc_count::count(|| table.finish(Timestamp::from_secs(10), &mut sink));
+    (tally.allocs, sink.closed)
 }
 
 /// Shard steering sits on the per-packet dispatch path of the sharded
@@ -131,20 +99,17 @@ fn shard_steering_makes_zero_allocations() {
         orig: Endpoint::new(Addr::new(10, 0, 3, 7), 40_000),
         resp: Endpoint::new(Addr::new(10, 0, 4, 11), 53),
     };
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
-    let mut acc = 0usize;
-    for n in [1usize, 2, 4, 8] {
-        acc += shard_of_pair(Addr::new(10, 0, 3, 7), Addr::new(10, 0, 4, 11), n);
-        acc += shard_of_key(&key, n);
-        acc += shard_of_packet(&pkt, n);
-    }
-    COUNTING.store(false, Relaxed);
-    let allocs = ALLOCS.load(Relaxed);
-    drop(guard);
+    let (acc, tally) = alloc_count::count(|| {
+        let mut acc = 0usize;
+        for n in [1usize, 2, 4, 8] {
+            acc += shard_of_pair(Addr::new(10, 0, 3, 7), Addr::new(10, 0, 4, 11), n);
+            acc += shard_of_key(&key, n);
+            acc += shard_of_packet(&pkt, n);
+        }
+        acc
+    });
     assert!(acc < 3 * (1 + 2 + 4 + 8), "steering out of range");
-    assert_eq!(allocs, 0, "shard steering allocated on the dispatch path");
+    assert_eq!(tally.allocs, 0, "shard steering allocated on the dispatch path");
 }
 
 /// The fused parse+ingest pass (Engine::ingest_dissected) in steady
@@ -190,22 +155,19 @@ fn fused_parse_ingest_makes_zero_steady_state_allocations() {
     // Steady passes: same flows, later timestamps, same epoch. This walks
     // the fused loop well past a LAP_STRIDE boundary so the sampled
     // (clocked) packets are covered too.
-    let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
-    let mut quiet = true;
-    for rep in 1..=4u64 {
-        for (i, f) in frames.iter().enumerate() {
-            let ts = Timestamp::from_micros(rep * 1_000_000 + i as u64);
-            quiet &= mon.observe(ts, f, f.len() as u32).is_empty();
+    let (quiet, tally) = alloc_count::count(|| {
+        let mut quiet = true;
+        for rep in 1..=4u64 {
+            for (i, f) in frames.iter().enumerate() {
+                let ts = Timestamp::from_micros(rep * 1_000_000 + i as u64);
+                quiet &= mon.observe(ts, f, f.len() as u32).is_empty();
+            }
         }
-    }
-    COUNTING.store(false, Relaxed);
-    let allocs = ALLOCS.load(Relaxed);
-    drop(guard);
+        quiet
+    });
     assert!(quiet, "steady passes must stay inside one epoch");
     assert_eq!(
-        allocs, 0,
+        tally.allocs, 0,
         "fused parse+ingest allocated on the per-packet path"
     );
 }

@@ -6,17 +6,19 @@
 //! a counting global allocator: once the arena is warm (first trace of a
 //! worker), re-emitting TCP, UDP and ICMP sessions — and clamping the
 //! result through the capture tap — performs **zero** heap allocations,
+//! in a whole-frame arena and in a snaplen-68 (header-only) one alike,
 //! so a reintroduced per-packet `Vec` shows up as an O(packets) count,
 //! not a silent throughput regression. (The lint half of the same pin is
-//! ent-lint's E002 hot-alloc rule over `gen/synth.rs` + `wire/build.rs`.)
+//! ent-lint's E002 hot-alloc rule over `pcap/arena.rs`, `gen/synth.rs`
+//! and `wire/build.rs`.)
 //!
-//! The counting allocator is the sanctioned `unsafe` idiom shared with
-//! `alloc_pin.rs`: it defers to `System` and only increments an atomic.
+//! The counting allocator is `ent_integration::alloc_count`'s, shared with
+//! `alloc_pin.rs`: it counts only the calling thread's allocations.
 
-#![allow(unsafe_code)]
 // Test assertions may abort.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use ent_integration::alloc_count::{self, CountingAlloc};
 use ent_gen::synth::{
     emit_icmp_echo, emit_tcp, emit_udp, Exchange, Payload, Peer, TcpSessionSpec, UdpFlowSpec,
     UdpMessage,
@@ -25,27 +27,6 @@ use ent_pcap::{Clip, PacketArena, Tap};
 use ent_wire::{ethernet::MacAddr, ipv4::Addr, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-
-struct CountingAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -113,10 +94,10 @@ fn emit_all(tcp: &TcpSessionSpec, udp: &UdpFlowSpec, arena: &mut PacketArena) {
     );
 }
 
-#[test]
-fn warm_arena_emission_makes_zero_allocations() {
+/// Warm `arena` with one pass of the mix, then pin a second pass — and
+/// the in-place capture tap over its records — at zero allocations.
+fn pin_warm_emission(mut arena: PacketArena) {
     let (tcp, udp) = session_specs();
-    let mut arena = PacketArena::unbounded();
 
     // Warm pass: grows the arena's record and byte buffers once, exactly
     // like a worker's first trace.
@@ -126,28 +107,34 @@ fn warm_arena_emission_makes_zero_allocations() {
     arena.clear();
 
     // Steady state: same sessions into the warm arena.
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
-    emit_all(&tcp, &udp, &mut arena);
-    COUNTING.store(false, Relaxed);
+    let ((), tally) = alloc_count::count(|| emit_all(&tcp, &udp, &mut arena));
     assert_eq!(arena.len(), packets, "passes must emit identical traffic");
     assert_eq!(
-        ALLOCS.load(Relaxed),
-        0,
+        tally.allocs, 0,
         "steady-state emission allocated on the per-packet path"
     );
 
     // The in-place capture tap (sort excluded: stable sort legitimately
     // uses scratch) must stay allocation-free too.
     let mut tap = Tap::new(68).with_drop_period(29);
-    ALLOCS.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
-    let captured = arena.apply_tap(&mut tap);
-    COUNTING.store(false, Relaxed);
+    let (captured, tally) = alloc_count::count(|| arena.apply_tap(&mut tap));
     assert!(captured > 0, "tap must keep most of the mix");
     assert_eq!(
-        ALLOCS.load(Relaxed),
-        0,
+        tally.allocs, 0,
         "apply_tap allocated while clamping records in place"
     );
+}
+
+#[test]
+fn warm_arena_emission_makes_zero_allocations() {
+    pin_warm_emission(PacketArena::unbounded());
+}
+
+/// The header-only datasets' arena: capped frame writes and the
+/// truncating commit stay allocation-free once warm.
+#[test]
+fn warm_snaplen_arena_emission_makes_zero_allocations() {
+    let mut arena = PacketArena::unbounded();
+    arena.set_snaplen(68);
+    pin_warm_emission(arena);
 }

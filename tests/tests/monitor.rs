@@ -12,6 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ent_core::monitor::{drive_capture, Monitor, MonitorConfig};
+use ent_core::metrics::{monitor_bench_json, validate_bench_json, MonitorBenchContext};
 use ent_core::{capture_meta, Checkpoint, CheckpointError, PipelineConfig};
 use ent_gen::build::{build_site, generate_trace};
 use ent_gen::dataset::all_datasets;
@@ -128,6 +129,37 @@ fn checkpoint_fingerprint(ck: &Checkpoint) -> String {
         ck.config,
         ck.metrics.events_signature(),
     )
+}
+
+/// A header-only (snaplen 68) capture leaves the payload-delivery stages
+/// idle — zero events and zero wall, since no analyzer runs — and its
+/// `--bench-json` document must still validate.
+#[test]
+fn header_only_capture_monitor_bench_json_validates() {
+    let data = capture_bytes("D1", 2005);
+    let meta = capture_meta("D1", &data).expect("capture meta");
+    assert_eq!(meta.snaplen, 68, "D1 is header-only");
+    let cfg = monitor_config();
+    let mut monitor = Monitor::new(meta, cfg.clone(), data.len() / 600);
+    let summary = drive_capture(&data, &mut monitor, None, None, |_| {}, |_| {})
+        .expect("monitor run")
+        .expect("summary");
+    let m = &summary.metrics;
+    assert_eq!((m.tcp_deliver.events, m.tcp_deliver.wall_ns), (0, 0));
+    assert_eq!((m.udp_deliver.events, m.udp_deliver.wall_ns), (0, 0));
+    let ctx = MonitorBenchContext {
+        epoch_secs: cfg.epoch_secs,
+        max_conns: cfg.pipeline.max_conns as u64,
+        max_pending: cfg.pipeline.max_pending as u64,
+        epochs: summary.totals.epochs,
+        checkpoints: m.checkpoint.events,
+        evicted_conns: summary.health.evicted_conns,
+        pending_dropped: summary.health.pending_dropped,
+        checkpoint_recoveries: summary.health.checkpoint_recoveries,
+    };
+    let doc = monitor_bench_json(&ctx, m);
+    let checked = validate_bench_json(&doc).expect("header-only monitor doc validates");
+    assert!(checked.packets > 0);
 }
 
 /// Resume equivalence at every dataset and two seeds, killing at a

@@ -16,7 +16,6 @@
 //! degradation event is accounted in `IngestHealth` and the
 //! `backpressure` stage.
 
-#![allow(unsafe_code)]
 // Test assertions may abort.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -25,37 +24,14 @@ use ent_core::PipelineConfig;
 use ent_gen::build::{build_site, generate_trace};
 use ent_gen::dataset::all_datasets;
 use ent_gen::GenConfig;
+use ent_integration::alloc_count::{self, CountingAlloc};
 use ent_pcap::TraceMeta;
 use ent_wire::Timestamp;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering::Relaxed};
-
-struct NetBytesAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static NET_BYTES: AtomicI64 = AtomicI64::new(0);
-
-// Only `alloc`/`dealloc` are overridden: the default `realloc` and
-// `alloc_zeroed` route through them, so every byte is counted exactly once
-// however it was obtained.
-unsafe impl GlobalAlloc for NetBytesAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Relaxed) {
-            NET_BYTES.fetch_add(layout.size() as i64, Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if COUNTING.load(Relaxed) {
-            NET_BYTES.fetch_sub(layout.size() as i64, Relaxed);
-        }
-        System.dealloc(ptr, layout);
-    }
-}
-
+// The shared counter overrides only `alloc`/`dealloc`: the default
+// `realloc` and `alloc_zeroed` route through them, so every byte is
+// counted exactly once however it was obtained.
 #[global_allocator]
-static ALLOCATOR: NetBytesAlloc = NetBytesAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// One pooled frame: (relative timestamp µs, frame bytes, original length).
 type PooledFrame = (u64, Vec<u8>, u32);
@@ -94,9 +70,8 @@ fn replay(monitor: &mut Monitor, pool: &[PooledFrame], k: u64, epoch_secs: u64) 
     }
 }
 
-// One test function on purpose: the whole binary must stay single-threaded
-// while the global net-bytes gate is open, or a sibling test's allocations
-// would pollute the ledger.
+// The net-bytes ledger is per thread (`alloc_count`), so only this
+// test's own allocations reach it.
 #[test]
 fn hours_equivalent_soak_holds_memory_flat_and_accounts_degradation() {
     let (pool, meta, epoch_secs) = frame_pool();
@@ -115,18 +90,17 @@ fn hours_equivalent_soak_holds_memory_flat_and_accounts_degradation() {
         },
     };
     let mut levels = Vec::with_capacity(MEASURED as usize);
-    NET_BYTES.store(0, Relaxed);
-    COUNTING.store(true, Relaxed);
+    alloc_count::start();
     let mut monitor = Monitor::new(meta.clone(), cfg, pool.len());
     for k in 0..WARMUP {
         replay(&mut monitor, &pool, k, epoch_secs);
     }
-    let after_warmup = NET_BYTES.load(Relaxed);
+    let after_warmup = alloc_count::peek().net_bytes;
     for k in WARMUP..WARMUP + MEASURED {
         replay(&mut monitor, &pool, k, epoch_secs);
-        levels.push(NET_BYTES.load(Relaxed));
+        levels.push(alloc_count::peek().net_bytes);
     }
-    COUNTING.store(false, Relaxed);
+    alloc_count::stop();
     let (last, summary) = monitor.finish(&ent_pcap::IngestStats::default());
     assert_eq!(last.expect("final epoch").index, WARMUP + MEASURED - 1);
     assert_eq!(summary.totals.epochs, WARMUP + MEASURED);
