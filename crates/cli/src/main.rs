@@ -9,29 +9,26 @@
 //!   pipeline emitting rolling per-epoch reports, with optional
 //!   crash-safe checkpoints and bounded-state budgets.
 //! * `anonymize` — prefix-preserving anonymization of a pcap file.
-//! * `scaling`   — run the study once per shard count and export the
-//!   multi-shard scaling curve (`BENCH_scaling.json`): the determinism
-//!   gate (identical events signature at every shard count) plus the
-//!   ingest-wall speedup curve.
 //! * `packs`     — run the labeled scenario packs (base mix plus
 //!   adversarial and modern-variant actors), score scanner removal
 //!   against the ground-truth labels (precision/recall/F1), measure
 //!   per-pack trace complexity (header-symbol entropy), and export the
 //!   `ent-bench-packs/1` scoring document (`BENCH_packs.json`).
-//! * `obs-check` — validate a bench export (pipeline, monitor, scaling
-//!   or packs schema).
+//! * `obs-check` — validate a bench export (pipeline, monitor or packs
+//!   schema).
 //! * `bench-compare` — gate a candidate bench export against a committed
-//!   baseline (exact event/byte equality, one-sided wall tolerance; for
-//!   scaling documents, entry-for-entry determinism plus the speedup
-//!   floor on machines with at least 4 cores).
+//!   baseline (exact event/byte equality, one-sided wall tolerance).
+//!
+//! Every subcommand accepts a fixed set of flags: an unknown flag, a flag
+//! missing its value, or a value that does not parse is a usage error
+//! (exit 2), never a silent fall back to the default.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use ent_core::metrics::{
-    bench_json, compare_bench_json, monitor_bench_json, packs_bench_json, scaling_bench_json,
-    validate_bench_json, BenchContext, MonitorBenchContext, PackBenchEntry, PacksBenchContext,
-    ScalingContext, ScalingEntry,
+    bench_json, compare_bench_json, monitor_bench_json, packs_bench_json, validate_bench_json,
+    BenchContext, MonitorBenchContext, PackBenchEntry, PacksBenchContext,
 };
 use ent_core::run::{run_datasets, StudyConfig};
 use ent_core::{run_pack, PackStudyConfig};
@@ -48,6 +45,7 @@ use ent_wire::Timestamp;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Unwrap a CLI-level result or exit with a message. Failures here are
 /// user-environment errors (bad path, full disk, truncated file), not bugs.
@@ -61,10 +59,9 @@ fn or_die<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  entreport study [--scale S] [--seed N] [--threads N] [--shards N] [--datasets D0,D3] [--only 'table 9'] [--csv-dir DIR] [--keep-scanners] [--bench-json FILE.json]
-  entreport scaling [--scale S] [--seed N] [--threads N] [--shard-counts 0,1,2,4,8] [--floor 1.6] [--datasets D0,D3] [--out FILE.json]
-  entreport packs [--scale S] [--seed N] [--threads N] [--shards N] [--packs base,sweep] [--precision-floor 0.9] [--recall-floor 0.9] [--out FILE.json]
-  entreport generate --dataset D0 --subnet 3 [--pass 1] [--scale S] [--seed N] --out FILE.pcap
+  entreport study [--scale S] [--seed N] [--hosts N] [--threads N] [--datasets D0,D3] [--only 'table 9'] [--csv-dir DIR] [--keep-scanners] [--bench-json FILE.json]
+  entreport packs [--scale S] [--seed N] [--hosts N] [--threads N] [--packs base,sweep] [--precision-floor 0.9] [--recall-floor 0.9] [--out FILE.json]
+  entreport generate --dataset D0 --subnet 3 [--pass 1] [--scale S] [--seed N] [--hosts N] --out FILE.pcap
   entreport analyze FILE.pcap [--subnet N] [--name D0]
   entreport monitor FILE.pcap [--epoch-secs 300] [--checkpoint FILE.ckpt] [--max-conns N] [--max-pending N] [--stop-after-epochs N] [--name NAME] [--keep-scanners] [--bench-json FILE.json]
   entreport anonymize IN.pcap OUT.pcap --key SEED
@@ -74,99 +71,141 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// A command-line mistake: reported with the usage text, exit status 2.
+#[derive(Debug)]
+struct UsageError(String);
+
+/// One subcommand: its handler and the flags it accepts (`flags` take a
+/// value, `switches` stand alone).
+struct Command {
+    run: fn(&Args) -> Result<ExitCode, UsageError>,
+    flags: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+/// The subcommand called `name`, or `None` for an unknown one.
+fn command(name: &str) -> Option<Command> {
+    type Entry = (
+        fn(&Args) -> Result<ExitCode, UsageError>,
+        &'static [&'static str],
+        &'static [&'static str],
+    );
+    let (run, flags, switches): Entry = match name {
+        "study" => (
+            cmd_study,
+            &["scale", "seed", "hosts", "threads", "datasets", "only", "csv-dir", "bench-json"],
+            &["keep-scanners"],
+        ),
+        "packs" => (
+            cmd_packs,
+            &["scale", "seed", "hosts", "threads", "packs", "precision-floor", "recall-floor", "out"],
+            &[],
+        ),
+        "generate" => (
+            cmd_generate,
+            &["scale", "seed", "hosts", "dataset", "subnet", "pass", "out"],
+            &[],
+        ),
+        "analyze" => (cmd_analyze, &["subnet", "name"], &[]),
+        "monitor" => (
+            cmd_monitor,
+            &[
+                "epoch-secs", "checkpoint", "max-conns", "max-pending", "stop-after-epochs",
+                "name", "bench-json",
+            ],
+            &["keep-scanners"],
+        ),
+        "anonymize" => (cmd_anonymize, &["key"], &[]),
+        "obs-check" => (cmd_obs_check, &[], &[]),
+        "bench-compare" => (cmd_bench_compare, &["tolerance"], &[]),
+        _ => return None,
+    };
+    Some(Command { run, flags, switches })
+}
+
+#[derive(Debug)]
 struct Args {
     positional: Vec<String>,
     flags: std::collections::HashMap<String, String>,
     switches: std::collections::HashSet<String>,
 }
 
-fn parse_args(raw: &[String]) -> Args {
+impl Args {
+    /// The value of `--name` parsed as `T`: `None` when the flag is absent,
+    /// a usage error when its value does not parse.
+    fn value<T: FromStr>(&self, name: &str) -> Result<Option<T>, UsageError> {
+        self.flags
+            .get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| UsageError(format!("bad value {v:?} for --{name}")))
+            })
+            .transpose()
+    }
+}
+
+/// Split `raw` into positionals, valued flags and switches, rejecting any
+/// flag `command` does not list and any valued flag without a value.
+fn parse_args(raw: &[String], command: &Command) -> Result<Args, UsageError> {
     let mut a = Args {
         positional: Vec::new(),
         flags: Default::default(),
         switches: Default::default(),
     };
-    let mut it = raw.iter().peekable();
+    let mut it = raw.iter();
     while let Some(arg) = it.next() {
-        if let Some(name) = arg.strip_prefix("--") {
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    if let Some(v) = it.next() {
-                        a.flags.insert(name.to_string(), v.clone());
-                    }
-                }
-                _ => {
-                    a.switches.insert(name.to_string());
-                }
-            }
-        } else {
+        let Some(name) = arg.strip_prefix("--") else {
             a.positional.push(arg.clone());
+            continue;
+        };
+        if command.switches.contains(&name) {
+            a.switches.insert(name.to_string());
+        } else if command.flags.contains(&name) {
+            let value = it
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| UsageError(format!("--{name} needs a value")))?;
+            a.flags.insert(name.to_string(), value.clone());
+        } else {
+            return Err(UsageError(format!("unknown flag --{name}")));
         }
     }
-    a
+    Ok(a)
 }
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().cloned() else {
+    let Some((cmd, rest)) = raw.split_first() else {
         return usage();
     };
-    let args = parse_args(&raw[1..]);
-    match cmd.as_str() {
-        "study" => cmd_study(&args),
-        "scaling" => cmd_scaling(&args),
-        "packs" => cmd_packs(&args),
-        "generate" => cmd_generate(&args),
-        "analyze" => cmd_analyze(&args),
-        "monitor" => cmd_monitor(&args),
-        "anonymize" => cmd_anonymize(&args),
-        "obs-check" => cmd_obs_check(&args),
-        "bench-compare" => cmd_bench_compare(&args),
-        _ => usage(),
-    }
-}
-
-fn gen_config(args: &Args) -> GenConfig {
-    GenConfig {
-        scale: args
-            .flags
-            .get("scale")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.01),
-        seed: args
-            .flags
-            .get("seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1),
-        hosts_per_subnet: args.flags.get("hosts").and_then(|s| s.parse().ok()),
-    }
-}
-
-fn cmd_study(args: &Args) -> ExitCode {
-    let threads: usize = args
-        .flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    // An explicit --shards (including `--shards 0`, the serial escape
-    // hatch) always wins; only when the flag is absent does the run
-    // auto-shard the cores a pinned --threads leaves idle. Shard count is
-    // a bench-comparability key, so gate scripts pass --shards 0.
-    let shards = match args.flags.get("shards").and_then(|s| s.parse().ok()) {
-        Some(n) => n,
-        None => ent_core::auto_shards(
-            threads,
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        ),
+    let Some(command) = command(cmd) else {
+        return usage();
     };
+    match parse_args(rest, &command).and_then(|args| (command.run)(&args)) {
+        Ok(code) => code,
+        Err(UsageError(msg)) => {
+            eprintln!("entreport {cmd}: {msg}");
+            usage()
+        }
+    }
+}
+
+fn gen_config(args: &Args) -> Result<GenConfig, UsageError> {
+    Ok(GenConfig {
+        scale: args.value("scale")?.unwrap_or(0.01),
+        seed: args.value("seed")?.unwrap_or(1),
+        hosts_per_subnet: args.value("hosts")?,
+    })
+}
+
+fn cmd_study(args: &Args) -> Result<ExitCode, UsageError> {
     let config = StudyConfig {
-        gen: gen_config(args),
+        gen: gen_config(args)?,
         pipeline: PipelineConfig {
             keep_scanners: args.switches.contains("keep-scanners"),
-            shards,
             ..Default::default()
         },
-        threads,
+        threads: args.value("threads")?.unwrap_or(0),
     };
     let wanted: Option<Vec<String>> = args
         .flags
@@ -238,7 +277,6 @@ fn cmd_study(args: &Args) -> ExitCode {
             scale: config.gen.scale,
             seed: config.gen.seed,
             threads,
-            shards: config.pipeline.shards,
             study_wall_ns,
             datasets: studies
                 .iter()
@@ -271,7 +309,7 @@ fn cmd_study(args: &Args) -> ExitCode {
         }
         eprintln!("CSV exports written to {dir}/");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn slug(title: &str) -> String {
@@ -291,114 +329,6 @@ fn slug(title: &str) -> String {
         .collect()
 }
 
-/// Run the study once per shard count (same scale/seed/threads) and
-/// export the scaling curve as an `ent-bench-scaling/1` document. The
-/// built-in self-check is the determinism gate: every shard count must
-/// produce the identical events signature, packet and trace totals, or
-/// the command fails. Defaults are the gate configuration: scale 0.01,
-/// seed 2005, 1 worker thread, shard counts 0 (serial), 1, 2, 4, 8.
-fn cmd_scaling(args: &Args) -> ExitCode {
-    let mut gen = gen_config(args);
-    if !args.flags.contains_key("seed") {
-        gen.seed = 2005; // the scaling gate's seed, not `study`'s default
-    }
-    let threads: usize = args
-        .flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let floor: f64 = args
-        .flags
-        .get("floor")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.6);
-    let counts: Vec<usize> = match args.flags.get("shard-counts") {
-        Some(s) => {
-            let parsed: Option<Vec<usize>> =
-                s.split(',').map(|x| x.trim().parse().ok()).collect();
-            match parsed {
-                Some(v) if !v.is_empty() => v,
-                _ => {
-                    eprintln!("entreport: bad --shard-counts {s:?} (want e.g. 0,1,2,4,8)");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => vec![0, 1, 2, 4, 8],
-    };
-    let wanted: Option<Vec<String>> = args
-        .flags
-        .get("datasets")
-        .map(|s| s.split(',').map(|x| x.trim().to_string()).collect());
-    let specs: Vec<_> = all_datasets()
-        .into_iter()
-        .filter(|d| {
-            wanted
-                .as_ref()
-                .map(|w| w.iter().any(|x| x == d.name))
-                .unwrap_or(true)
-        })
-        .collect();
-    eprintln!(
-        "scaling curve: scale={} seed={} threads={threads} shard counts {counts:?}",
-        gen.scale, gen.seed
-    );
-    let mut entries = Vec::new();
-    for &shards in &counts {
-        let config = StudyConfig {
-            gen,
-            pipeline: PipelineConfig {
-                shards,
-                ..Default::default()
-            },
-            threads,
-        };
-        let studies = run_datasets(&specs, &config);
-        let mut total = PipelineMetrics::default();
-        for da in &studies {
-            total.absorb(&da.pipeline_metrics());
-        }
-        eprintln!(
-            "  shards={shards}: ingest wall {:.1} ms, {} packets, signature {:016x}",
-            total.shard_ingest.wall_ns as f64 / 1e6,
-            total.packets(),
-            total.events_signature_hash(),
-        );
-        entries.push(ScalingEntry {
-            shards,
-            ingest_wall_ns: total.shard_ingest.wall_ns,
-            frame_parse_wall_ns: total.frame_parse.wall_ns,
-            flow_ingest_wall_ns: total.flow_ingest.wall_ns,
-            packets: total.packets(),
-            traces: total.traces,
-            peak_open_conns: total.peak_open_conns,
-            signature_hash: total.events_signature_hash(),
-        });
-    }
-    let ctx = ScalingContext {
-        scale: gen.scale,
-        seed: gen.seed,
-        threads,
-        cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        floor,
-        entries,
-    };
-    let doc = scaling_bench_json(&ctx);
-    // The self-check is the determinism half of the gate: it fails if any
-    // shard count produced a different signature or packet total.
-    or_die(validate_bench_json(&doc), "scaling determinism self-check");
-    match args.flags.get("out") {
-        Some(path) => {
-            or_die(std::fs::write(path, &doc), "write scaling json");
-            eprintln!("scaling curve written to {path}");
-        }
-        None => print!("{doc}"),
-    }
-    ExitCode::SUCCESS
-}
-
 /// Default precision floor for the pack scoring gate: of the connections
 /// scanner removal flags, at least this share must belong to a labeled
 /// scan source (attack actors built to *evade* the heuristic — floods,
@@ -415,32 +345,15 @@ const PACK_RECALL_FLOOR: f64 = 0.9;
 /// `ent-bench-packs/1`. The built-in self-check is the scoring gate:
 /// precision/recall floors per pack, plus per-pack header entropy that
 /// must be distinguishable from the base mix. Defaults are the gate
-/// configuration: scale 0.01, seed 2005, 1 worker thread, serial shards.
-fn cmd_packs(args: &Args) -> ExitCode {
-    let mut gen = gen_config(args);
+/// configuration: scale 0.01, seed 2005, 1 worker thread.
+fn cmd_packs(args: &Args) -> Result<ExitCode, UsageError> {
+    let mut gen = gen_config(args)?;
     if !args.flags.contains_key("seed") {
-        gen.seed = 2005; // the pack gate's seed, matching `scaling`
+        gen.seed = 2005; // the pack gate's seed, not `study`'s default
     }
-    let threads: usize = args
-        .flags
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let shards: usize = args
-        .flags
-        .get("shards")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let precision_floor: f64 = args
-        .flags
-        .get("precision-floor")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(PACK_PRECISION_FLOOR);
-    let recall_floor: f64 = args
-        .flags
-        .get("recall-floor")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(PACK_RECALL_FLOOR);
+    let threads: usize = args.value("threads")?.unwrap_or(1);
+    let precision_floor: f64 = args.value("precision-floor")?.unwrap_or(PACK_PRECISION_FLOOR);
+    let recall_floor: f64 = args.value("recall-floor")?.unwrap_or(PACK_RECALL_FLOOR);
     let wanted: Option<Vec<String>> = args
         .flags
         .get("packs")
@@ -458,14 +371,11 @@ fn cmd_packs(args: &Args) -> ExitCode {
         .collect();
     let config = PackStudyConfig {
         gen,
-        pipeline: PipelineConfig {
-            shards,
-            ..Default::default()
-        },
+        pipeline: PipelineConfig::default(),
         threads,
     };
     eprintln!(
-        "scenario packs: scale={} seed={} threads={threads} shards={shards} packs={names:?}",
+        "scenario packs: scale={} seed={} threads={threads} packs={names:?}",
         gen.scale, gen.seed
     );
     println!(
@@ -476,8 +386,10 @@ fn cmd_packs(args: &Args) -> ExitCode {
     let mut entries = Vec::new();
     for name in names {
         let Some(pack) = ent_gen::packs::pack(name) else {
-            eprintln!("entreport: unknown pack {name:?} (want one of {:?})", ent_gen::PACK_NAMES);
-            return ExitCode::from(2);
+            return Err(UsageError(format!(
+                "unknown pack {name:?} (want one of {:?})",
+                ent_gen::PACK_NAMES
+            )));
         };
         let report = run_pack(&pack, &config);
         println!(
@@ -517,7 +429,6 @@ fn cmd_packs(args: &Args) -> ExitCode {
         scale: gen.scale,
         seed: gen.seed,
         threads,
-        shards,
         precision_floor,
         recall_floor,
         packs: entries,
@@ -533,31 +444,22 @@ fn cmd_packs(args: &Args) -> ExitCode {
         }
         None => print!("{doc}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_generate(args: &Args) -> ExitCode {
+fn cmd_generate(args: &Args) -> Result<ExitCode, UsageError> {
     let Some(name) = args.flags.get("dataset") else {
-        return usage();
+        return Err(UsageError("--dataset is required".into()));
     };
     let Some(spec) = dataset(name) else {
-        eprintln!("unknown dataset {name} (use D0..D4)");
-        return ExitCode::from(2);
+        return Err(UsageError(format!("unknown dataset {name} (use D0..D4)")));
     };
-    let subnet: u16 = args
-        .flags
-        .get("subnet")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(spec.monitored.start);
-    let pass: u8 = args
-        .flags
-        .get("pass")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let subnet: u16 = args.value("subnet")?.unwrap_or(spec.monitored.start);
+    let pass: u8 = args.value("pass")?.unwrap_or(1);
     let Some(out) = args.flags.get("out") else {
-        return usage();
+        return Err(UsageError("--out is required".into()));
     };
-    let config = gen_config(args);
+    let config = gen_config(args)?;
     let (site, wan) = build_site(&spec, &config);
     let trace = generate_trace(&site, &wan, &spec, subnet, pass, &config);
     let f = or_die(File::create(out), "create output file");
@@ -569,18 +471,19 @@ fn cmd_generate(args: &Args) -> ExitCode {
         trace.wire_bytes(),
         trace.meta.snaplen
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_analyze(args: &Args) -> ExitCode {
+fn cmd_analyze(args: &Args) -> Result<ExitCode, UsageError> {
     let Some(path) = args.positional.first() else {
-        return usage();
+        return Err(UsageError("missing capture path".into()));
     };
+    let subnet = args.value("subnet")?.unwrap_or(0);
     let data = match std::fs::read(path) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let meta = TraceMeta {
@@ -589,11 +492,7 @@ fn cmd_analyze(args: &Args) -> ExitCode {
             .get("name")
             .map(|s| s.as_str().into())
             .unwrap_or_else(|| "pcap".into()),
-        subnet: args
-            .flags
-            .get("subnet")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0),
+        subnet,
         pass: 1,
         duration: Timestamp::from_secs(3_600),
         snaplen: 1500,
@@ -605,7 +504,7 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         Ok(x) => x,
         Err(e) => {
             eprintln!("error: {}", ent_core::AnalysisError::from(e));
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // Size the utilization bins to the capture's actual span. Binning is
@@ -655,23 +554,23 @@ fn cmd_analyze(args: &Args) -> ExitCode {
     }
     println!();
     println!("{}", a.metrics.stage_table("Pipeline stage metrics").render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Validate a `BENCH_pipeline.json` export: schema identifier, required
 /// fields, and nonzero wall time and events for every mandatory stage.
-fn cmd_obs_check(args: &Args) -> ExitCode {
+fn cmd_obs_check(args: &Args) -> Result<ExitCode, UsageError> {
     let Some(path) = args.positional.first() else {
-        return usage();
+        return Err(UsageError("missing bench document path".into()));
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    match validate_bench_json(&text) {
+    Ok(match validate_bench_json(&text) {
         Ok(s) => {
             println!(
                 "{path}: ok — {} traces, {} packets, study wall {:.1}s",
@@ -688,28 +587,24 @@ fn cmd_obs_check(args: &Args) -> ExitCode {
             eprintln!("{path}: INVALID: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// Gate a candidate `BENCH_pipeline.json` against a committed baseline:
 /// exact event/byte equality on every mandatory stage plus a one-sided
 /// wall-time check (see `ent_core::metrics::compare_bench_json`).
 /// `ENT_BENCH_WAIVER=1` waives the wall half for noisy hardware.
-fn cmd_bench_compare(args: &Args) -> ExitCode {
+fn cmd_bench_compare(args: &Args) -> Result<ExitCode, UsageError> {
     let (Some(base_path), Some(cand_path)) =
         (args.positional.first(), args.positional.get(1))
     else {
-        return usage();
+        return Err(UsageError("need BASELINE.json and CANDIDATE.json".into()));
     };
-    let tolerance: f64 = args
-        .flags
-        .get("tolerance")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
+    let tolerance: f64 = args.value("tolerance")?.unwrap_or(0.25);
     let waived = std::env::var("ENT_BENCH_WAIVER").is_ok_and(|v| !v.is_empty() && v != "0");
     let baseline = or_die(std::fs::read_to_string(base_path), "read baseline json");
     let candidate = or_die(std::fs::read_to_string(cand_path), "read candidate json");
-    match compare_bench_json(&baseline, &candidate, tolerance, !waived) {
+    Ok(match compare_bench_json(&baseline, &candidate, tolerance, !waived) {
         Ok(report) => {
             print!("{report}");
             if waived {
@@ -729,7 +624,7 @@ fn cmd_bench_compare(args: &Args) -> ExitCode {
             );
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// Resident monitor mode: stream a capture through the pipeline, emitting
@@ -738,20 +633,16 @@ fn cmd_bench_compare(args: &Args) -> ExitCode {
 /// written atomically, and a later run with the same flag resumes
 /// mid-stream, reproducing the remaining epochs exactly. A checkpoint that
 /// fails to load degrades to a counted cold start, never an error exit.
-fn cmd_monitor(args: &Args) -> ExitCode {
+fn cmd_monitor(args: &Args) -> Result<ExitCode, UsageError> {
     let Some(path) = args.positional.first() else {
-        return usage();
+        return Err(UsageError("missing capture path".into()));
     };
-    let data = or_die(std::fs::read(path), "read capture");
-    let epoch_secs: u64 = args
-        .flags
-        .get("epoch-secs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300);
+    let epoch_secs: u64 = args.value("epoch-secs")?.unwrap_or(300);
     if epoch_secs == 0 {
-        eprintln!("entreport: --epoch-secs must be nonzero");
-        return ExitCode::from(2);
+        return Err(UsageError("--epoch-secs must be nonzero".into()));
     }
+    let stop_after: Option<u64> = args.value("stop-after-epochs")?;
+    let data = or_die(std::fs::read(path), "read capture");
     let name = args.flags.get("name").map(String::as_str).unwrap_or("monitor");
     let ckpt_path = args.flags.get("checkpoint").map(std::path::PathBuf::from);
     let cfg = MonitorConfig {
@@ -759,16 +650,8 @@ fn cmd_monitor(args: &Args) -> ExitCode {
         checkpoints: ckpt_path.is_some(),
         pipeline: PipelineConfig {
             keep_scanners: args.switches.contains("keep-scanners"),
-            max_conns: args
-                .flags
-                .get("max-conns")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-            max_pending: args
-                .flags
-                .get("max-pending")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
+            max_conns: args.value("max-conns")?.unwrap_or(0),
+            max_pending: args.value("max-pending")?.unwrap_or(0),
             ..Default::default()
         },
     };
@@ -802,10 +685,6 @@ fn cmd_monitor(args: &Args) -> ExitCode {
     if recovered {
         monitor.note_checkpoint_recovery();
     }
-    let stop_after: Option<u64> = args
-        .flags
-        .get("stop-after-epochs")
-        .and_then(|s| s.parse().ok());
     let result = drive_capture(
         &data,
         &mut monitor,
@@ -823,7 +702,7 @@ fn cmd_monitor(args: &Args) -> ExitCode {
             "stopped after {} epochs (checkpoint retained for resume)",
             stop_after.unwrap_or(0)
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     };
     print!("{}", summary.render());
     if let Some(out) = args.flags.get("bench-json") {
@@ -842,12 +721,12 @@ fn cmd_monitor(args: &Args) -> ExitCode {
         or_die(std::fs::write(out, &doc), "write bench json");
         eprintln!("monitor metrics written to {out}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_anonymize(args: &Args) -> ExitCode {
+fn cmd_anonymize(args: &Args) -> Result<ExitCode, UsageError> {
     let (Some(input), Some(output)) = (args.positional.first(), args.positional.get(1)) else {
-        return usage();
+        return Err(UsageError("need IN.pcap and OUT.pcap".into()));
     };
     let key = args
         .flags
@@ -870,5 +749,60 @@ fn cmd_anonymize(args: &Args) -> ExitCode {
     or_die(anon.write_pcap(&mut w), "write pcap");
     or_die(w.flush(), "flush output");
     eprintln!("anonymized {} packets -> {}", anon.packets.len(), output);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(cmd: &str, raw: &[&str]) -> Result<Args, UsageError> {
+        let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+        let command = command(cmd).expect("known subcommand");
+        parse_args(&raw, &command)
+    }
+
+    #[test]
+    fn unknown_flag_is_a_usage_error() {
+        let err = args("study", &["--shards", "4"]).expect_err("unknown flag");
+        assert!(err.0.contains("unknown flag --shards"), "{}", err.0);
+        // A flag one subcommand accepts is still unknown to another.
+        assert!(args("analyze", &["x.pcap", "--epoch-secs", "60"]).is_err());
+        assert!(args("obs-check", &["x.json", "--keep-scanners"]).is_err());
+        assert!(command("scaling").is_none(), "no such subcommand");
+    }
+
+    #[test]
+    fn bad_number_is_a_usage_error() {
+        let a = args("study", &["--seed", "2oo5"]).expect("flag is known");
+        let err = gen_config(&a).expect_err("unparsable seed");
+        assert!(err.0.contains("--seed"), "{}", err.0);
+        let a = args("monitor", &["x.pcap", "--max-conns", "-1"]).expect("flag is known");
+        assert!(a.value::<usize>("max-conns").is_err());
+        // A valued flag with nothing after it is not silently a switch.
+        let err = args("study", &["--threads"]).expect_err("missing value");
+        assert!(err.0.contains("--threads needs a value"), "{}", err.0);
+        assert!(args("study", &["--seed", "--keep-scanners"]).is_err());
+    }
+
+    #[test]
+    fn valid_flags_parse() {
+        let a = args(
+            "study",
+            &["--scale", "0.002", "--seed", "2005", "--hosts", "8", "--threads", "2",
+              "--only", "table 3", "--keep-scanners"],
+        )
+        .expect("valid study flags");
+        let gen = gen_config(&a).expect("numbers parse");
+        assert_eq!((gen.scale, gen.seed, gen.hosts_per_subnet), (0.002, 2005, Some(8)));
+        assert_eq!(a.value::<usize>("threads").expect("parses"), Some(2));
+        assert_eq!(a.flags.get("only").map(String::as_str), Some("table 3"));
+        assert!(a.switches.contains("keep-scanners"));
+        // Absent flags fall back to their defaults.
+        let gen = gen_config(&args("study", &[]).expect("no flags")).expect("defaults");
+        assert_eq!((gen.scale, gen.seed, gen.hosts_per_subnet), (0.01, 1, None));
+        let a = args("bench-compare", &["a.json", "b.json", "--tolerance", "0.5"]).expect("ok");
+        assert_eq!(a.positional, ["a.json", "b.json"]);
+        assert_eq!(a.value::<f64>("tolerance").expect("parses"), Some(0.5));
+    }
 }

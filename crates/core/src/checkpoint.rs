@@ -30,9 +30,10 @@ pub const MAGIC: [u8; 8] = *b"ENTCKPT\0";
 
 /// Current format version. Bumped to 2 when the `shard_ingest` stage was
 /// added to [`PipelineMetrics`] (one more stage record in the metrics
-/// block); version-1 files degrade to a counted cold start like any other
-/// unreadable checkpoint.
-pub const VERSION: u32 = 2;
+/// block), and to 3 when it was removed with intra-trace sharding (one
+/// fewer). Files of any older version degrade to a counted cold start like
+/// any other unreadable checkpoint.
+pub const VERSION: u32 = 3;
 
 /// Why a checkpoint could not be loaded. Every variant is recoverable —
 /// the monitor answers all of them with a counted cold start.
@@ -264,7 +265,7 @@ impl Checkpoint {
         put_u64(&mut p, self.health.load_samples_out_of_range);
         put_u64(&mut p, self.health.pending_dropped);
         put_u64(&mut p, self.health.checkpoint_recoveries);
-        // Cumulative pipeline metrics: 14 stages, 11 analyzers, scalars.
+        // Cumulative pipeline metrics: 13 stages, 11 analyzers, scalars.
         for (_, s) in self.metrics.stages() {
             put_stage(&mut p, s);
         }
@@ -378,7 +379,6 @@ impl Checkpoint {
         m.epoch_rotate = take_stage(&mut c)?;
         m.checkpoint = take_stage(&mut c)?;
         m.backpressure = take_stage(&mut c)?;
-        m.shard_ingest = take_stage(&mut c)?;
         let a = &mut m.analyzers;
         a.http = take_stage(&mut c)?;
         a.smtp = take_stage(&mut c)?;
@@ -552,6 +552,14 @@ mod tests {
         assert!(matches!(
             Checkpoint::parse(&future),
             Err(CheckpointError::UnsupportedVersion(_))
+        ));
+        // A version-2 file (the layout with one more stage record) is
+        // refused by its header, before any payload field is read.
+        let mut v2 = clean.clone();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::parse(&v2),
+            Err(CheckpointError::UnsupportedVersion(2))
         ));
         let mut trailing = clean.clone();
         trailing.push(0);

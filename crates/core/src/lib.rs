@@ -49,7 +49,6 @@ pub mod records;
 pub mod report;
 pub mod run;
 pub mod scanners;
-mod shard;
 pub mod small;
 pub mod stats;
 pub mod study;
@@ -65,5 +64,5 @@ pub use metrics::{PipelineMetrics, StageStat, StageTimer};
 pub use packs::{run_all_packs, run_pack, Complexity, PackReport, PackScore, PackStudyConfig};
 pub use pipeline::{analyze_capture, analyze_trace, PipelineConfig};
 pub use records::{IngestHealth, TraceAnalysis};
-pub use run::{auto_shards, run_dataset, run_datasets, run_study, DatasetAnalysis, StudyConfig};
+pub use run::{run_dataset, run_datasets, run_study, DatasetAnalysis, StudyConfig};
 pub use study::{build_report, StudyReport};

@@ -269,16 +269,6 @@ pub const MANDATORY_STAGES: [&str; 10] = [
 ///   written / 0.
 /// * `backpressure` — bounded-state degradation: evicted connections plus
 ///   dropped pending-map entries / 0.
-///
-/// The sharded pipeline adds one more (also recorded by the serial batch
-/// path, zero in monitor mode):
-///
-/// * `shard_ingest` — *elapsed* wall of the frame-parse + flow-ingest
-///   phase of one trace, end to end. Unlike `frame_parse`/`flow_ingest`,
-///   whose walls are summed across shard workers running concurrently,
-///   this is dispatcher-observed elapsed time — the denominator of the
-///   multi-shard scaling curve. Events and bytes are always 0 so the
-///   stage is signature-neutral.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineMetrics {
     /// Trace synthesis (`ent-gen`).
@@ -309,9 +299,6 @@ pub struct PipelineMetrics {
     /// Bounded-state degradation events: forced evictions + pending-map
     /// drops (zero when no budget was exceeded).
     pub backpressure: StageStat,
-    /// Elapsed (not summed-across-workers) wall of the ingest phase per
-    /// trace; events/bytes always 0 (signature-neutral).
-    pub shard_ingest: StageStat,
     /// Per-analyzer delivery time and event counts.
     pub analyzers: AnalyzerMetrics,
     /// High-water mark of simultaneously open connections (max, not sum,
@@ -327,9 +314,8 @@ pub struct PipelineMetrics {
 
 impl PipelineMetrics {
     /// (name, stat) pairs for every pipeline stage: the ten batch stages
-    /// in [`MANDATORY_STAGES`] order, then the three monitor-mode stages,
-    /// then the sharding elapsed-wall stage.
-    pub fn stages(&self) -> [(&'static str, &StageStat); 14] {
+    /// in [`MANDATORY_STAGES`] order, then the three monitor-mode stages.
+    pub fn stages(&self) -> [(&'static str, &StageStat); 13] {
         [
             ("generate", &self.generate),
             ("gen_synth", &self.gen_synth),
@@ -344,7 +330,6 @@ impl PipelineMetrics {
             ("epoch_rotate", &self.epoch_rotate),
             ("checkpoint", &self.checkpoint),
             ("backpressure", &self.backpressure),
-            ("shard_ingest", &self.shard_ingest),
         ]
     }
 
@@ -364,7 +349,6 @@ impl PipelineMetrics {
         self.epoch_rotate.absorb(&other.epoch_rotate);
         self.checkpoint.absorb(&other.checkpoint);
         self.backpressure.absorb(&other.backpressure);
-        self.shard_ingest.absorb(&other.shard_ingest);
         self.analyzers.absorb(&other.analyzers);
         self.peak_open_conns = self.peak_open_conns.max(other.peak_open_conns);
         self.trace_wall_ns += other.trace_wall_ns;
@@ -401,11 +385,8 @@ impl PipelineMetrics {
     /// analyzer's (name, events, bytes), plus the trace total.
     /// Wall times are deliberately excluded — two runs of the same study
     /// must produce identical signatures regardless of thread count — and
-    /// so is `peak_open_conns`: a sharded run reports the *sum* of
-    /// per-shard peaks (a serial run its true peak), making the peak the
-    /// one counter that legitimately varies with shard count. It is still
-    /// compared exactly between runs of the same configuration via the
-    /// top-level bench keys.
+    /// so is `peak_open_conns`, a gauge rather than an event count; it is
+    /// compared exactly on its own, via the top-level bench keys.
     pub fn events_signature(&self) -> Vec<(String, u64, u64)> {
         let mut sig: Vec<(String, u64, u64)> = self
             .stages()
@@ -419,9 +400,9 @@ impl PipelineMetrics {
         sig
     }
 
-    /// [`Self::events_signature`] folded into one u64 for display and for
-    /// the scaling-curve gate — FNV-1a over the (name, events, bytes)
-    /// triples, so two runs match iff every counter matches.
+    /// [`Self::events_signature`] folded into one u64 for display — FNV-1a
+    /// over the (name, events, bytes) triples, so two runs match iff every
+    /// counter matches.
     pub fn events_signature_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |bytes: &[u8]| {
@@ -529,8 +510,6 @@ pub struct BenchContext {
     pub seed: u64,
     /// Worker threads used (resolved, not the `0 = auto` sentinel).
     pub threads: usize,
-    /// Intra-trace shard count of the run (0 = serial single-table path).
-    pub shards: usize,
     /// Elapsed wall-clock nanoseconds for the whole study.
     pub study_wall_ns: u64,
     /// Per-dataset (name, traces, worker wall ns, packets, bytes).
@@ -559,7 +538,6 @@ pub fn bench_json(ctx: &BenchContext, total: &PipelineMetrics) -> String {
     out.push_str(&format!("  \"scale\": {},\n", ctx.scale));
     out.push_str(&format!("  \"seed\": {},\n", ctx.seed));
     out.push_str(&format!("  \"threads\": {},\n", ctx.threads));
-    out.push_str(&format!("  \"shards\": {},\n", ctx.shards));
     out.push_str(&format!(
         "  \"study_wall_us\": {:.3},\n",
         ctx.study_wall_ns as f64 / 1e3
@@ -677,89 +655,6 @@ pub fn monitor_bench_json(ctx: &MonitorBenchContext, total: &PipelineMetrics) ->
     out
 }
 
-/// Schema identifier for shard scaling-curve documents
-/// (`entreport scaling`). One study repeated per shard count at a fixed
-/// scale/seed/threads; the document is the multi-thread scaling gate.
-pub const SCALING_SCHEMA: &str = "ent-bench-scaling/1";
-
-/// One point on the intra-trace shard scaling curve.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalingEntry {
-    /// Shard count of this run (0 = serial single-table path).
-    pub shards: usize,
-    /// Elapsed ingest wall (the `shard_ingest` stage): frame parse + flow
-    /// ingest of every trace, end to end, dispatcher-observed.
-    pub ingest_wall_ns: u64,
-    /// Summed-across-workers `frame_parse` wall.
-    pub frame_parse_wall_ns: u64,
-    /// Summed-across-workers `flow_ingest` wall.
-    pub flow_ingest_wall_ns: u64,
-    /// Packets analyzed (must be identical across entries).
-    pub packets: u64,
-    /// Traces analyzed (must be identical across entries).
-    pub traces: u64,
-    /// Peak open connections — the serial peak at shards ≤ 1, the sum of
-    /// per-shard peaks otherwise. Deterministic per (config, shards), so
-    /// compared exactly between documents entry-for-entry.
-    pub peak_open_conns: u64,
-    /// [`PipelineMetrics::events_signature_hash`] of the run (must be
-    /// identical across entries — the determinism half of the gate).
-    pub signature_hash: u64,
-}
-
-/// Run parameters for the scaling-curve export.
-#[derive(Debug, Clone, Default)]
-pub struct ScalingContext {
-    /// Generator scale of the runs.
-    pub scale: f64,
-    /// Generator seed.
-    pub seed: u64,
-    /// Worker threads per run (the curve varies shards, not threads).
-    pub threads: usize,
-    /// CPU cores available where this document was produced. Not a
-    /// comparability key: the speedup floor is only *enforced* when the
-    /// candidate machine has at least 4 cores, so single-core CI keeps
-    /// the determinism half without a meaningless wall gate.
-    pub cores: usize,
-    /// Minimum required speedup of the 4-shard run over the 1-shard run
-    /// on elapsed ingest wall.
-    pub floor: f64,
-    /// One entry per shard count, in run order.
-    pub entries: Vec<ScalingEntry>,
-}
-
-/// Serialize a scaling study as an `ent-bench-scaling/1` document.
-pub fn scaling_bench_json(ctx: &ScalingContext) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCALING_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"scale\": {},\n", ctx.scale));
-    out.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    out.push_str(&format!("  \"threads\": {},\n", ctx.threads));
-    out.push_str(&format!("  \"cores\": {},\n", ctx.cores));
-    out.push_str(&format!("  \"floor\": {},\n", ctx.floor));
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in ctx.entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"ingest_wall_us\": {:.3}, \
-             \"frame_parse_wall_us\": {:.3}, \"flow_ingest_wall_us\": {:.3}, \
-             \"packets\": {}, \"traces\": {}, \"peak_open_conns\": {}, \
-             \"signature\": \"{:016x}\"}}",
-            e.shards,
-            e.ingest_wall_ns as f64 / 1e3,
-            e.frame_parse_wall_ns as f64 / 1e3,
-            e.flow_ingest_wall_ns as f64 / 1e3,
-            e.packets,
-            e.traces,
-            e.peak_open_conns,
-            e.signature_hash,
-        ));
-        out.push_str(if i + 1 < ctx.entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Schema identifier for labeled scenario-pack documents
 /// (`entreport packs`). One labeled generation + analysis run per pack;
 /// the document is the scanner-removal scoring gate (precision/recall
@@ -809,8 +704,6 @@ pub struct PacksBenchContext {
     pub seed: u64,
     /// Worker threads per pack run.
     pub threads: usize,
-    /// Intra-trace shard count (0 = serial single-table path).
-    pub shards: usize,
     /// Minimum acceptable precision for any pack that flagged anything.
     pub precision_floor: f64,
     /// Minimum acceptable recall for any pack with labeled scan sources.
@@ -827,7 +720,6 @@ pub fn packs_bench_json(ctx: &PacksBenchContext) -> String {
     out.push_str(&format!("  \"scale\": {},\n", ctx.scale));
     out.push_str(&format!("  \"seed\": {},\n", ctx.seed));
     out.push_str(&format!("  \"threads\": {},\n", ctx.threads));
-    out.push_str(&format!("  \"shards\": {},\n", ctx.shards));
     out.push_str(&format!(
         "  \"precision_floor\": {},\n",
         ctx.precision_floor
@@ -1117,14 +1009,10 @@ fn bench_schema(doc: &JsonValue) -> Result<&str, String> {
         .get("schema")
         .and_then(|v| v.as_str())
         .ok_or("missing \"schema\"")?;
-    if schema != BENCH_SCHEMA
-        && schema != MONITOR_SCHEMA
-        && schema != SCALING_SCHEMA
-        && schema != PACKS_SCHEMA
-    {
+    if schema != BENCH_SCHEMA && schema != MONITOR_SCHEMA && schema != PACKS_SCHEMA {
         return Err(format!(
-            "schema mismatch: got {schema:?}, want {BENCH_SCHEMA:?}, {MONITOR_SCHEMA:?}, \
-             {SCALING_SCHEMA:?} or {PACKS_SCHEMA:?}"
+            "schema mismatch: got {schema:?}, want {BENCH_SCHEMA:?}, {MONITOR_SCHEMA:?} \
+             or {PACKS_SCHEMA:?}"
         ));
     }
     Ok(schema)
@@ -1189,9 +1077,6 @@ fn check_mandatory_stages(
 /// * `ent-bench-monitor/1` (`entreport monitor --bench-json`): the
 ///   [`MONITOR_NUMERIC_KEYS`] counters plus nonzero
 ///   [`MONITOR_MANDATORY_STAGES`].
-/// * `ent-bench-scaling/1` (`entreport scaling`): per-shard-count entries
-///   that must all agree on packets, traces and the events signature —
-///   shape validation doubles as the sharding determinism gate.
 /// * `ent-bench-packs/1` (`entreport packs`): per-pack scored entries; a
 ///   `"base"` entry must be present, every pack with labeled scan sources
 ///   must reach `recall_floor`, every pack that flagged anything must
@@ -1210,9 +1095,6 @@ fn validate_bench_json_inner(text: &str) -> Result<BenchSummary, String> {
         study_wall_us: 0.0,
         stages: Vec::new(),
     };
-    if bench_schema(&doc)? == SCALING_SCHEMA {
-        return validate_scaling_inner(&doc);
-    }
     if bench_schema(&doc)? == PACKS_SCHEMA {
         return validate_packs_inner(&doc);
     }
@@ -1259,91 +1141,6 @@ fn validate_bench_json_inner(text: &str) -> Result<BenchSummary, String> {
     Ok(summary)
 }
 
-/// Numeric fields every scaling-curve entry must carry.
-const SCALING_ENTRY_KEYS: [&str; 7] = [
-    "shards",
-    "ingest_wall_us",
-    "frame_parse_wall_us",
-    "flow_ingest_wall_us",
-    "packets",
-    "traces",
-    "peak_open_conns",
-];
-
-/// Validate an `ent-bench-scaling/1` document. Beyond shape, this is the
-/// determinism half of the scaling gate: every entry — serial and every
-/// shard count — must report the same packet count, trace count and
-/// events signature, or sharding changed the analysis results.
-fn validate_scaling_inner(doc: &JsonValue) -> Result<BenchSummary, String> {
-    for key in ["scale", "seed", "threads", "cores", "floor"] {
-        if doc.get(key).and_then(|v| v.as_f64()).is_none() {
-            return Err(format!("missing numeric field {key:?}"));
-        }
-    }
-    let entries = match doc.get("entries") {
-        Some(JsonValue::Array(items)) if !items.is_empty() => items,
-        _ => return Err("missing non-empty \"entries\" array".into()),
-    };
-    let mut summary = BenchSummary::default();
-    let mut seen_shards: Vec<u64> = Vec::new();
-    let mut reference: Option<(String, u64, u64)> = None;
-    for e in entries {
-        for key in SCALING_ENTRY_KEYS {
-            if e.get(key).and_then(|v| v.as_f64()).is_none() {
-                return Err(format!("scaling entry missing numeric field {key:?}"));
-            }
-        }
-        let shards = e.get("shards").and_then(|v| v.as_f64()).unwrap_or(-1.0) as u64;
-        let wall = e
-            .get("ingest_wall_us")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        if wall <= 0.0 {
-            return Err(format!(
-                "scaling entry shards={shards} has zero ingest wall — instrumentation rot?"
-            ));
-        }
-        if seen_shards.contains(&shards) {
-            return Err(format!("duplicate scaling entry for shards={shards}"));
-        }
-        seen_shards.push(shards);
-        let sig = e
-            .get("signature")
-            .and_then(|v| v.as_str())
-            .ok_or("scaling entry missing string field \"signature\"")?;
-        let packets = e.get("packets").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-        let traces = e.get("traces").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-        if packets == 0 {
-            return Err(format!("scaling entry shards={shards} analyzed zero packets"));
-        }
-        match &reference {
-            None => reference = Some((sig.to_string(), packets, traces)),
-            Some((rsig, rpackets, rtraces)) => {
-                if sig != rsig {
-                    return Err(format!(
-                        "determinism violation: shards={shards} signature {sig} differs \
-                         from {rsig} — sharding changed the analysis results"
-                    ));
-                }
-                if packets != *rpackets || traces != *rtraces {
-                    return Err(format!(
-                        "determinism violation: shards={shards} analyzed {packets} packets / \
-                         {traces} traces, other entries {rpackets} / {rtraces}"
-                    ));
-                }
-            }
-        }
-        summary
-            .stages
-            .push((format!("shards={shards}"), wall, packets));
-    }
-    if let Some((_, packets, traces)) = reference {
-        summary.packets = packets;
-        summary.traces = traces;
-    }
-    Ok(summary)
-}
-
 /// Numeric fields every scenario-pack entry must carry.
 const PACK_ENTRY_KEYS: [&str; 13] = [
     "traces",
@@ -1372,7 +1169,7 @@ const PACK_ENTROPY_DISTINCT_EPS: f64 = 1e-9;
 /// differ from base — a pack whose complexity matches the base mix
 /// injected nothing measurable.
 fn validate_packs_inner(doc: &JsonValue) -> Result<BenchSummary, String> {
-    for key in ["scale", "seed", "threads", "shards", "precision_floor", "recall_floor"] {
+    for key in ["scale", "seed", "threads", "precision_floor", "recall_floor"] {
         if doc.get(key).and_then(|v| v.as_f64()).is_none() {
             return Err(format!("missing numeric field {key:?}"));
         }
@@ -1462,120 +1259,6 @@ fn validate_packs_inner(doc: &JsonValue) -> Result<BenchSummary, String> {
     Ok(summary)
 }
 
-/// Compare two scaling-curve documents: exact entry-for-entry determinism
-/// (signature, packets, traces, peak) against the baseline, plus the
-/// candidate-internal speedup floor — elapsed ingest wall at 1 shard over
-/// 4 shards must reach `floor`. Wall times are never compared *between*
-/// documents (different machines); the floor is only enforced when the
-/// candidate ran on at least 4 cores and `check_wall` is set.
-fn compare_scaling_inner(
-    b: &JsonValue,
-    c: &JsonValue,
-    check_wall: bool,
-) -> Result<String, String> {
-    let num = |doc: &JsonValue, key: &str| {
-        doc.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
-    };
-    for key in ["scale", "seed", "threads", "floor"] {
-        if num(b, key) != num(c, key) {
-            return Err(format!(
-                "runs are not comparable: {key:?} differs (baseline {}, candidate {})",
-                num(b, key),
-                num(c, key)
-            ));
-        }
-    }
-    fn entries(doc: &JsonValue) -> Result<Vec<&JsonValue>, String> {
-        match doc.get("entries") {
-            Some(JsonValue::Array(items)) => Ok(items.iter().collect()),
-            _ => Err("missing \"entries\" array".into()),
-        }
-    }
-    let be = entries(b).map_err(|e| format!("baseline: {e}"))?;
-    let ce = entries(c).map_err(|e| format!("candidate: {e}"))?;
-    let shard_of = |e: &JsonValue| num(e, "shards");
-    if be.iter().map(|e| shard_of(e)).collect::<Vec<_>>()
-        != ce.iter().map(|e| shard_of(e)).collect::<Vec<_>>()
-    {
-        return Err("runs are not comparable: shard-count lists differ".into());
-    }
-    let mut failures: Vec<String> = Vec::new();
-    let mut report = format!(
-        "{:<10} {:>14} {:>14} {:>9} {:>9}  determinism\n",
-        "shards", "base_ingest_us", "cand_ingest_us", "base_spd", "cand_spd"
-    );
-    let speedup = |list: &[&JsonValue], e: &JsonValue| -> f64 {
-        let one = list
-            .iter()
-            .find(|x| shard_of(x) == 1.0)
-            .map_or(f64::NAN, |x| num(x, "ingest_wall_us"));
-        one / num(e, "ingest_wall_us")
-    };
-    for (bent, cent) in be.iter().zip(&ce) {
-        let shards = shard_of(bent) as u64;
-        let mut ok = true;
-        for key in ["packets", "traces", "peak_open_conns"] {
-            if num(bent, key) != num(cent, key) {
-                failures.push(format!(
-                    "shards={shards}: {key} drifted (baseline {}, candidate {})",
-                    num(bent, key),
-                    num(cent, key)
-                ));
-                ok = false;
-            }
-        }
-        let bsig = bent.get("signature").and_then(|v| v.as_str()).unwrap_or("");
-        let csig = cent.get("signature").and_then(|v| v.as_str()).unwrap_or("");
-        if bsig != csig {
-            failures.push(format!(
-                "shards={shards}: events signature drifted (baseline {bsig}, candidate {csig})"
-            ));
-            ok = false;
-        }
-        report.push_str(&format!(
-            "{shards:<10} {:>14.1} {:>14.1} {:>8.2}x {:>8.2}x  {}\n",
-            num(bent, "ingest_wall_us"),
-            num(cent, "ingest_wall_us"),
-            speedup(&be, bent),
-            speedup(&ce, cent),
-            if ok { "ok" } else { "DRIFTED" },
-        ));
-    }
-    let floor = num(c, "floor");
-    let cores = num(c, "cores");
-    let cand_4 = ce.iter().find(|e| shard_of(e) == 4.0);
-    match cand_4 {
-        Some(e4) if check_wall && cores >= 4.0 => {
-            let spd = speedup(&ce, e4);
-            // NaN (no 1-shard entry to compare against) must also fail.
-            if spd.is_nan() || spd < floor {
-                failures.push(format!(
-                    "scaling floor missed: 4-shard speedup {spd:.2}x < required {floor}x \
-                     (ingest wall, candidate machine has {cores} cores)"
-                ));
-            } else {
-                report.push_str(&format!(
-                    "floor: 4-shard speedup {spd:.2}x >= {floor}x  ok\n"
-                ));
-            }
-        }
-        Some(_) => {
-            report.push_str(&format!(
-                "floor: waived (check_wall={check_wall}, candidate cores={cores} < 4 \
-                 enforces determinism only)\n"
-            ));
-        }
-        None => {
-            report.push_str("floor: no 4-shard entry; determinism only\n");
-        }
-    }
-    if failures.is_empty() {
-        Ok(report)
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
 /// Absolute tolerance for cross-document comparison of derived f64 fields
 /// in pack documents (rates and entropies). Counts are integers and
 /// compared exactly; the ratios and `log2` sums they derive into can
@@ -1591,7 +1274,7 @@ fn compare_packs_inner(b: &JsonValue, c: &JsonValue) -> Result<String, String> {
     let num = |doc: &JsonValue, key: &str| {
         doc.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
     };
-    for key in ["scale", "seed", "threads", "shards", "precision_floor", "recall_floor"] {
+    for key in ["scale", "seed", "threads", "precision_floor", "recall_floor"] {
         if num(b, key) != num(c, key) {
             return Err(format!(
                 "runs are not comparable: {key:?} differs (baseline {}, candidate {})",
@@ -1685,8 +1368,7 @@ pub const WALL_SHARE_FLOOR: f64 = 0.05;
 /// `epoch_secs`/`max_conns`/`max_pending` and the bounded-state outcome
 /// counters (`epochs`, `checkpoints`, `peak_open_conns`, `evicted_conns`,
 /// `pending_dropped`, `checkpoint_recoveries`) — the steady-state memory
-/// gate. Scaling documents dispatch to the shard-determinism gate, pack
-/// documents to the scoring-determinism gate (exact confusion-matrix
+/// gate. Pack documents dispatch to the scoring-determinism gate (exact confusion-matrix
 /// counts, near-exact rates and entropies, no wall half).
 ///
 /// The gate contract has two halves:
@@ -1733,9 +1415,6 @@ fn compare_bench_json_inner(
             "runs are not comparable: schema differs (baseline {b_schema:?}, candidate {c_schema:?})"
         ));
     }
-    if b_schema == SCALING_SCHEMA {
-        return compare_scaling_inner(&b, &c, check_wall);
-    }
     if b_schema == PACKS_SCHEMA {
         return compare_packs_inner(&b, &c);
     }
@@ -1745,7 +1424,7 @@ fn compare_bench_json_inner(
     let comparability: &[&str] = if monitor {
         &["epoch_secs", "max_conns", "max_pending"]
     } else {
-        &["scale", "seed", "threads", "shards"]
+        &["scale", "seed", "threads"]
     };
     let exact: &[&str] = if monitor {
         &[
@@ -1766,12 +1445,8 @@ fn compare_bench_json_inner(
     } else {
         &MANDATORY_STAGES
     };
-    let num = |doc: &JsonValue, key: &str| match doc.get(key).and_then(|v| v.as_f64()) {
-        Some(v) => v,
-        // Pre-sharding bench documents carry no "shards" key; every such
-        // run was serial, so a missing key means the serial path (0).
-        None if key == "shards" => 0.0,
-        None => f64::NAN,
+    let num = |doc: &JsonValue, key: &str| {
+        doc.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
     };
     for &key in comparability {
         if num(&b, key) != num(&c, key) {
@@ -1902,7 +1577,6 @@ mod tests {
             scale: 0.002,
             seed: 7,
             threads: 4,
-            shards: 0,
             study_wall_ns: 5_000_000,
             datasets: vec![("D0".into(), 2, 3_000_000, 20, 2_000)],
         };
@@ -1932,7 +1606,6 @@ mod tests {
             scale: 0.002,
             seed: 7,
             threads: 4,
-            shards: 0,
             study_wall_ns: 5_000_000,
             datasets: vec![("D0".into(), 2, 3_000_000, 20, 2_000)],
         };
@@ -1960,7 +1633,6 @@ mod tests {
             scale: 0.002,
             seed: 7,
             threads: 1,
-            shards: 0,
             study_wall_ns: 1_000,
             datasets: Vec::new(),
         };
@@ -1982,7 +1654,6 @@ mod tests {
             scale: 0.01,
             seed: 2005,
             threads: 1,
-            shards: 0,
             study_wall_ns: 9_000_000,
             datasets: vec![("D0".into(), 2, 3_000_000, 20, 2_000)],
         };
@@ -2166,9 +1837,8 @@ mod tests {
 
     #[test]
     fn signature_excludes_peak_but_hash_tracks_counters() {
-        // peak_open_conns legitimately varies with shard count (sum of
-        // per-shard peaks vs the serial peak), so it must not be part of
-        // the events signature...
+        // peak_open_conns is a gauge compared on its own, so it is not
+        // part of the events signature...
         let a = nonzero_metrics();
         let mut b = nonzero_metrics();
         b.peak_open_conns += 100;
@@ -2177,117 +1847,6 @@ mod tests {
         // ...while any real counter drift must move the hash.
         b.analyzers.http.events += 1;
         assert_ne!(a.events_signature_hash(), b.events_signature_hash());
-    }
-
-    fn scaling_ctx() -> ScalingContext {
-        let entry = |shards: usize, wall: u64| ScalingEntry {
-            shards,
-            ingest_wall_ns: wall,
-            frame_parse_wall_ns: wall / 3,
-            flow_ingest_wall_ns: wall / 2,
-            packets: 1_000,
-            traces: 10,
-            peak_open_conns: if shards <= 1 { 40 } else { 40 + shards as u64 },
-            signature_hash: 0xABCD_EF01_2345_6789,
-        };
-        ScalingContext {
-            scale: 0.01,
-            seed: 2005,
-            threads: 1,
-            cores: 8,
-            floor: 1.6,
-            entries: vec![
-                entry(0, 900_000),
-                entry(1, 1_000_000),
-                entry(2, 600_000),
-                entry(4, 400_000),
-                entry(8, 350_000),
-            ],
-        }
-    }
-
-    #[test]
-    fn scaling_json_roundtrips_and_gates_determinism() {
-        let ctx = scaling_ctx();
-        let text = scaling_bench_json(&ctx);
-        let summary = validate_bench_json(&text).expect("valid scaling doc");
-        assert_eq!(summary.packets, 1_000);
-        assert_eq!(summary.traces, 10);
-        assert_eq!(summary.stages.len(), 5);
-        // The emitted wall keys round-trip from their nanosecond source
-        // counters (pins the µs conversion and the key names themselves).
-        let doc = json_parse(&text).expect("well-formed JSON");
-        let Some(JsonValue::Array(entries)) = doc.get("entries") else {
-            panic!("entries array missing");
-        };
-        for (src, out) in ctx.entries.iter().zip(entries) {
-            let us = |key: &str| out.get(key).and_then(JsonValue::as_f64).expect("wall key");
-            assert!((us("ingest_wall_us") - src.ingest_wall_ns as f64 / 1_000.0).abs() < 1e-6);
-            assert!(
-                (us("frame_parse_wall_us") - src.frame_parse_wall_ns as f64 / 1_000.0).abs() < 1e-6
-            );
-            assert!(
-                (us("flow_ingest_wall_us") - src.flow_ingest_wall_ns as f64 / 1_000.0).abs() < 1e-6
-            );
-        }
-        // A signature differing between entries is a determinism failure.
-        let mut bad = scaling_ctx();
-        bad.entries[2].signature_hash ^= 1;
-        let err = validate_bench_json(&scaling_bench_json(&bad)).expect_err("sig drift");
-        assert!(err.message().contains("determinism violation"), "{err}");
-        // So is a packet-count mismatch between shard counts.
-        let mut bad = scaling_ctx();
-        bad.entries[3].packets += 1;
-        let err = validate_bench_json(&scaling_bench_json(&bad)).expect_err("packet drift");
-        assert!(err.message().contains("determinism violation"), "{err}");
-        // Duplicate shard counts are rejected.
-        let mut bad = scaling_ctx();
-        bad.entries[4].shards = 4;
-        let err = validate_bench_json(&scaling_bench_json(&bad)).expect_err("dup shards");
-        assert!(err.message().contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn scaling_compare_enforces_floor_on_capable_machines_only() {
-        let base = scaling_bench_json(&scaling_ctx());
-        let report = compare_bench_json(&base, &base, 0.25, true).expect("identical passes");
-        assert!(report.contains("4-shard speedup 2.50x"), "{report}");
-        // Candidate misses the floor on an 8-core machine: hard failure.
-        let mut slow = scaling_ctx();
-        slow.entries[3].ingest_wall_ns = 900_000; // 1.11x over 1-shard
-        let err = compare_bench_json(&base, &scaling_bench_json(&slow), 0.25, true)
-            .expect_err("floor miss on capable machine");
-        assert!(err.message().contains("scaling floor missed"), "{err}");
-        // The identical miss on a single-core machine only gates
-        // determinism — walls are meaningless there.
-        let mut single = slow.clone();
-        single.cores = 1;
-        let report = compare_bench_json(&base, &scaling_bench_json(&single), 0.25, true)
-            .expect("single-core machine waives the floor");
-        assert!(report.contains("determinism only"), "{report}");
-        // The explicit waiver flag does the same on any machine.
-        compare_bench_json(&base, &scaling_bench_json(&slow), 0.25, false)
-            .expect("ENT_BENCH_WAIVER skips the floor");
-        // Cross-document signature drift fails even with the waiver.
-        let mut drift = scaling_ctx();
-        for e in &mut drift.entries {
-            e.signature_hash ^= 0xFF;
-        }
-        let err = compare_bench_json(&base, &scaling_bench_json(&drift), 0.25, false)
-            .expect_err("signature drift");
-        assert!(err.message().contains("signature drifted"), "{err}");
-        // Per-entry peak drift is a hard failure too.
-        let mut peaky = scaling_ctx();
-        peaky.entries[4].peak_open_conns += 1;
-        let err = compare_bench_json(&base, &scaling_bench_json(&peaky), 0.25, false)
-            .expect_err("peak drift");
-        assert!(err.message().contains("peak_open_conns"), "{err}");
-        // Different shard lists are not comparable at all.
-        let mut fewer = scaling_ctx();
-        fewer.entries.pop();
-        let err = compare_bench_json(&base, &scaling_bench_json(&fewer), 0.25, true)
-            .expect_err("shard list mismatch");
-        assert!(err.message().contains("shard-count lists"), "{err}");
     }
 
     fn packs_ctx() -> PacksBenchContext {
@@ -2317,7 +1876,6 @@ mod tests {
             scale: 0.01,
             seed: 2005,
             threads: 1,
-            shards: 0,
             precision_floor: 0.9,
             recall_floor: 0.9,
             packs: vec![
@@ -2340,7 +1898,7 @@ mod tests {
         // and the confusion-matrix/entropy field layout).
         let doc = json_parse(&text).expect("well-formed JSON");
         assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some(PACKS_SCHEMA));
-        for key in ["scale", "seed", "threads", "shards", "precision_floor", "recall_floor"] {
+        for key in ["scale", "seed", "threads", "precision_floor", "recall_floor"] {
             assert!(doc.get(key).and_then(JsonValue::as_f64).is_some(), "{key}");
         }
         let Some(JsonValue::Array(packs)) = doc.get("packs") else {
@@ -2448,16 +2006,28 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_compare_treats_missing_shards_as_serial() {
-        let base = bench_doc(&nonzero_metrics());
-        // A pre-sharding baseline has no "shards" key at all; it was a
-        // serial run, so it stays comparable to a shards=0 candidate.
-        let legacy = base.replace("  \"shards\": 0,\n", "");
-        assert!(!legacy.contains("\"shards\""));
-        compare_bench_json(&legacy, &base, 0.25, true).expect("legacy baseline comparable");
-        // But a sharded candidate is a different configuration.
-        let sharded = base.replace("\"shards\": 0", "\"shards\": 4");
-        let err = compare_bench_json(&base, &sharded, 0.25, true).expect_err("shard mismatch");
-        assert!(err.message().contains("not comparable"), "{err}");
+    fn legacy_shards_key_is_ignored() {
+        // Documents written while intra-trace sharding existed carry a
+        // "shards" key (0 for every committed one). Readers no longer look
+        // at it: such a document validates and compares against a fresh
+        // one without the key, whatever value it holds.
+        let fresh = bench_doc(&nonzero_metrics());
+        assert!(!fresh.contains("\"shards\""));
+        for legacy_value in ["0", "4"] {
+            let legacy = fresh.replace(
+                "  \"threads\": 1,\n",
+                &format!("  \"threads\": 1,\n  \"shards\": {legacy_value},\n"),
+            );
+            assert!(legacy.contains("\"shards\""));
+            validate_bench_json(&legacy).expect("legacy pipeline doc validates");
+            compare_bench_json(&legacy, &fresh, 0.25, true).expect("legacy baseline comparable");
+            compare_bench_json(&fresh, &legacy, 0.25, true).expect("legacy candidate comparable");
+        }
+        let fresh = packs_bench_json(&packs_ctx());
+        assert!(!fresh.contains("\"shards\""));
+        let legacy = fresh.replace("  \"threads\": 1,\n", "  \"threads\": 1,\n  \"shards\": 0,\n");
+        assert!(legacy.contains("\"shards\""));
+        validate_bench_json(&legacy).expect("legacy packs doc validates");
+        compare_bench_json(&legacy, &fresh, 0.25, true).expect("legacy packs doc comparable");
     }
 }

@@ -60,9 +60,7 @@ pub struct MonitorConfig {
     /// with the same setting.
     pub checkpoints: bool,
     /// The underlying pipeline configuration (budgets, ablations). The
-    /// `use_std_hash` escape hatch is ignored in monitor mode, and so is
-    /// `shards`: the monitor's epoch/checkpoint machinery is built around
-    /// one streaming engine, so it always runs the serial table.
+    /// `use_std_hash` escape hatch is ignored in monitor mode.
     pub pipeline: PipelineConfig,
 }
 

@@ -26,16 +26,16 @@
 //!
 //! Everything that feeds the report is integer-counted and merged in
 //! deterministic order (`BTreeMap`s keyed by symbol, work-index-sorted
-//! partials), so reports are byte-identical across thread and shard
-//! counts — the scenario-pack differential suite pins this.
+//! partials), so reports are byte-identical across thread counts — the
+//! scenario-pack differential suite pins this.
 
 use crate::metrics::{PipelineMetrics, StageTimer};
 use crate::pipeline::{analyze_packets, PipelineConfig};
 use crate::records::TraceAnalysis;
+use crate::run::{add_generation, trace_pool};
 use ent_gen::build::{build_site, GenConfig};
 use ent_gen::packs::{self, label, ScenarioPack};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 
 /// Flow-level confusion counts of scanner removal against ground truth.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -311,10 +311,10 @@ fn header_symbol(frame: &[u8]) -> u64 {
 pub struct PackStudyConfig {
     /// Generator configuration (scale, seed, hosts).
     pub gen: GenConfig,
-    /// Analysis pipeline configuration (scanner removal, shards).
+    /// Analysis pipeline configuration (scanner removal).
     pub pipeline: PipelineConfig,
-    /// Worker threads (0 = available parallelism; composed with
-    /// `pipeline.shards` by [`crate::run::effective_threads`]).
+    /// Worker threads (0 = available parallelism; capped by
+    /// [`crate::run::effective_threads`]).
     pub threads: usize,
 }
 
@@ -339,7 +339,7 @@ pub struct PackReport {
     pub entropy_nontemporal: f64,
     /// Temporal (order-1 conditional) entropy, bits/packet.
     pub entropy_temporal: f64,
-    /// Aggregated pipeline metrics (thread/shard-invariant signature).
+    /// Aggregated pipeline metrics (thread-invariant signature).
     pub metrics: PipelineMetrics,
 }
 
@@ -348,17 +348,13 @@ pub struct PackReport {
 /// Per-trace truth is extracted from the labeled arena records *before*
 /// analysis and scored against that same trace's removal decisions
 /// (removal is a per-trace step); partial results are merged in work
-/// order, so the report is identical for any thread/shard count.
+/// order, so the report is identical for any thread count.
 pub fn run_pack(pack: &ScenarioPack, config: &PackStudyConfig) -> PackReport {
     let (site, wan) = build_site(&pack.spec, &config.gen);
     let mut slots = Vec::new();
     packs::for_each_pack_slot(pack, |subnet, pass| slots.push((subnet, pass)));
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let threads =
-        crate::run::effective_threads(config.threads, config.pipeline.shards, cores, slots.len());
 
     struct Partial {
-        idx: usize,
         packets: u64,
         truth: PackTruth,
         complexity: Complexity,
@@ -367,72 +363,31 @@ pub fn run_pack(pack: &ScenarioPack, config: &PackStudyConfig) -> PackReport {
         metrics: PipelineMetrics,
     }
 
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let bin: Mutex<Vec<Partial>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut arena = ent_pcap::PacketArena::unbounded();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&(subnet, pass)) = slots.get(i) else {
-                        break;
-                    };
-                    let gt = StageTimer::start();
-                    let (meta, gen) = packs::generate_pack_trace_into(
-                        pack,
-                        &site,
-                        &wan,
-                        subnet,
-                        pass,
-                        &config.gen,
-                        &mut arena,
-                    );
-                    let gen_ns = gt.elapsed_ns();
-                    let mut truth = PackTruth::default();
-                    let mut complexity = Complexity::default();
-                    for (_, frame, _, lab) in arena.labeled_frames() {
-                        truth.observe(frame, lab);
-                        complexity.observe(frame);
-                    }
-                    complexity.end_trace();
-                    let mut analysis = analyze_packets(
-                        &meta,
-                        arena.captured_frames(),
-                        &config.pipeline,
-                        arena.len(),
-                    );
-                    analysis
-                        .metrics
-                        .generate
-                        .add(gen_ns, arena.len() as u64, arena.wire_bytes());
-                    analysis
-                        .metrics
-                        .gen_synth
-                        .add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
-                    analysis.metrics.gen_sort.add(gen.sort_ns, gen.sorted_packets, 0);
-                    analysis
-                        .metrics
-                        .gen_tap
-                        .add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
-                    analysis.metrics.trace_wall_ns += gen_ns;
-                    let score = score_scanner_removal(&analysis, &truth.scan_sources());
-                    let partial = Partial {
-                        idx: i,
-                        packets: analysis.packets,
-                        truth,
-                        complexity,
-                        score,
-                        flagged: analysis.scanners_removed.iter().map(|a| a.0).collect(),
-                        metrics: analysis.metrics,
-                    };
-                    bin.lock().unwrap_or_else(|e| e.into_inner()).push(partial);
-                }
-            });
+    let partials = trace_pool(config.threads, &slots, |&(subnet, pass), arena| {
+        let gt = StageTimer::start();
+        let (meta, gen) =
+            packs::generate_pack_trace_into(pack, &site, &wan, subnet, pass, &config.gen, arena);
+        let gen_ns = gt.elapsed_ns();
+        let mut truth = PackTruth::default();
+        let mut complexity = Complexity::default();
+        for (_, frame, _, lab) in arena.labeled_frames() {
+            truth.observe(frame, lab);
+            complexity.observe(frame);
+        }
+        complexity.end_trace();
+        let mut analysis =
+            analyze_packets(&meta, arena.captured_frames(), &config.pipeline, arena.len());
+        add_generation(&mut analysis.metrics, gen_ns, &gen, arena);
+        let score = score_scanner_removal(&analysis, &truth.scan_sources());
+        Partial {
+            packets: analysis.packets,
+            truth,
+            complexity,
+            score,
+            flagged: analysis.scanners_removed.iter().map(|a| a.0).collect(),
+            metrics: analysis.metrics,
         }
     });
-    let mut partials = bin.into_inner().unwrap_or_else(|e| e.into_inner());
-    partials.sort_by_key(|p| p.idx);
 
     let mut truth = PackTruth::default();
     let mut complexity = Complexity::default();

@@ -53,15 +53,6 @@ pub struct PipelineConfig {
     /// instantiation the differential equivalence suite compares against;
     /// results must be identical either way (see `ent_flow::fasthash`).
     pub use_std_hash: bool,
-    /// Intra-trace sharding: split the flow pipeline across this many
-    /// per-core `ConnTable` shards, steering frames by canonical host pair
-    /// (see `ent_flow::shard`) and merging the per-shard outputs in shard
-    /// order at finalize. `0` (the default) runs the serial single-table
-    /// path unchanged; `1` exercises the sharded machinery with one worker
-    /// (event-for-event identical to serial). The batch study path honors
-    /// this; the resident monitor ignores it (its streaming rotation is
-    /// inherently serial — see `MonitorConfig`).
-    pub shards: usize,
 }
 
 /// Outstanding-query maps hold a handful of entries at most; 4 inline
@@ -599,9 +590,6 @@ pub fn analyze_packets<'a, I>(
 where
     I: Iterator<Item = (Timestamp, &'a [u8], u32)>,
 {
-    if config.shards > 0 {
-        return crate::shard::analyze_packets_sharded(meta, packets, config, packets_hint);
-    }
     let frames = packets.map(|(ts, frame, orig_len)| FrameRef { ts, frame, orig_len });
     let expected = expected_conns_hint(packets_hint);
     // Branch on the hasher once, outside the loop: each arm monomorphizes
@@ -684,17 +672,18 @@ impl<S: BuildHasher> Engine<S> {
 
     /// Parse, tally and flow-ingest one frame.
     pub(crate) fn ingest_frame(&mut self, p: FrameRef<'_>) {
+        // Dissection stays in this small wrapper, outside the sampled laps
+        // of `tally_and_ingest`: folding the two into one function made
+        // the monitor's per-packet loop ~20% slower in a same-host A/B.
         match Packet::parse(p.frame) {
-            Ok(pkt) => self.ingest_dissected(p, Some(&pkt)),
-            Err(_) => self.ingest_dissected(p, None),
+            Ok(pkt) => self.tally_and_ingest(p, Some(&pkt)),
+            Err(_) => self.tally_and_ingest(p, None),
         }
     }
 
-    /// Tally and flow-ingest one frame dissected by the caller (`None`
-    /// means the dissector rejected it). The serial path wraps this with
-    /// [`Engine::ingest_frame`]; the sharded dispatcher parses each frame
-    /// once on the steering thread and feeds shard workers here directly.
-    pub(crate) fn ingest_dissected(&mut self, p: FrameRef<'_>, pkt: Option<&Packet<'_>>) {
+    /// Tally and flow-ingest one frame `ingest_frame` dissected (`None`:
+    /// the dissector rejected it).
+    fn tally_and_ingest(&mut self, p: FrameRef<'_>, pkt: Option<&Packet<'_>>) {
         if self.first {
             self.first = false;
             self.base_us = p.ts.micros();
@@ -934,13 +923,8 @@ where
     let end_abs = Timestamp::from_micros(engine.base_us().saturating_add(meta.duration.micros()))
         .max(engine.max_ts());
     engine.finish_at(end_abs);
-    let ingest_wall = total.elapsed_ns();
     let fstats = *engine.flow_stats();
     let mut out = engine.into_analysis();
-    // The ingest phase's elapsed wall (frame loop through table finish):
-    // the scaling curve's per-shard-count metric. Events/bytes stay zero so
-    // the entry is constant under `events_signature`.
-    out.metrics.shard_ingest.add(ingest_wall, 0, 0);
     out.health.clock_regressions = fstats.clock_regressions;
     out.health.evicted_conns = fstats.evicted_conns;
     out.metrics.peak_open_conns = fstats.peak_open_conns;

@@ -9,8 +9,10 @@
 use crate::metrics::{PipelineMetrics, StageTimer};
 use crate::pipeline::{analyze_packets, PipelineConfig};
 use crate::records::{IngestHealth, TraceAnalysis};
-use ent_gen::build::{build_site, generate_trace_into, GenConfig};
+use ent_gen::build::{build_site, generate_trace_into, GenConfig, GenTiming};
 use ent_gen::dataset::{all_datasets, DatasetSpec};
+use ent_pcap::PacketArena;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Configuration for a study run.
@@ -59,138 +61,107 @@ impl DatasetAnalysis {
 ///
 /// Every trace of every dataset is a single work item; one thread pool
 /// drains the whole list. Packets are dropped as soon as each trace is
-/// analyzed, bounding memory. Results land in per-dataset bins and are
-/// sorted by global work index, which is monotone in (pass, subnet)
-/// within a dataset — so per-trace ordering (and content) is identical
-/// to running each dataset alone.
+/// analyzed, bounding memory. Results come back in work order, which is
+/// monotone in (pass, subnet) within a dataset — so per-trace ordering
+/// (and content) is identical to running each dataset alone.
 pub fn run_datasets(specs: &[DatasetSpec], config: &StudyConfig) -> Vec<DatasetAnalysis> {
     let sites: Vec<_> = specs.iter().map(|s| build_site(s, &config.gen)).collect();
-    // Global work list of (dataset index, subnet, pass).
+    // Global work list of (dataset index, spec, site, subnet, pass).
     let mut work = Vec::new();
-    for (di, spec) in specs.iter().enumerate() {
+    for (di, (spec, (site, wan))) in specs.iter().zip(&sites).enumerate() {
         for pass in 1..=spec.passes {
             for subnet in spec.monitored {
                 if spec.name == "D4" && pass == 2 && subnet % 2 == 0 {
                     continue;
                 }
-                work.push((di, subnet, pass));
+                work.push((di, spec, site, wan, subnet, pass));
             }
         }
     }
+    let analyses = trace_pool(config.threads, &work, |&(_, spec, site, wan, subnet, pass), arena| {
+        let gt = StageTimer::start();
+        let (meta, gen) = generate_trace_into(site, wan, spec, subnet, pass, &config.gen, arena);
+        let gen_ns = gt.elapsed_ns();
+        let mut analysis =
+            analyze_packets(&meta, arena.captured_frames(), &config.pipeline, arena.len());
+        add_generation(&mut analysis.metrics, gen_ns, &gen, arena);
+        analysis
+    });
+    let mut traces: Vec<Vec<TraceAnalysis>> = specs.iter().map(|_| Vec::new()).collect();
+    for (&(di, ..), analysis) in work.iter().zip(analyses) {
+        if let Some(bin) = traces.get_mut(di) {
+            bin.push(analysis);
+        }
+    }
+    specs
+        .iter()
+        .zip(traces)
+        .map(|(spec, traces)| DatasetAnalysis { spec: *spec, traces })
+        .collect()
+}
+
+/// Run `item` over every work item on a pool of trace workers and return
+/// the results in work order, so the output is identical for any thread
+/// count. `requested_threads` is capped by [`effective_threads`]. Each
+/// worker owns one arena, reused across its items: after the first trace
+/// its buffers are warm and generation stops allocating.
+pub(crate) fn trace_pool<W, T, F>(requested_threads: usize, work: &[W], item: F) -> Vec<T>
+where
+    W: Sync,
+    T: Send,
+    F: Fn(&W, &mut PacketArena) -> T + Sync,
+{
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let threads = effective_threads(config.threads, config.pipeline.shards, cores, work.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let bins: Vec<Mutex<Vec<(usize, TraceAnalysis)>>> =
-        specs.iter().map(|_| Mutex::new(Vec::new())).collect();
+    let threads = effective_threads(requested_threads, cores, work.len());
+    let next = AtomicUsize::new(0);
+    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(work.len()));
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
-                // One arena per worker, reused across traces: after the
-                // first trace its buffers are warm and generation stops
-                // allocating entirely.
-                let mut arena = ent_pcap::PacketArena::unbounded();
+                let mut arena = PacketArena::unbounded();
                 loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&(di, subnet, pass)) = work.get(i) else {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(w) = work.get(i) else {
                         break;
                     };
-                    let Some((spec, (site, wan))) = specs.get(di).zip(sites.get(di)) else {
-                        break;
-                    };
-                    let gt = StageTimer::start();
-                    let (meta, gen) =
-                        generate_trace_into(site, wan, spec, subnet, pass, &config.gen, &mut arena);
-                    let gen_ns = gt.elapsed_ns();
-                    let mut analysis = analyze_packets(
-                        &meta,
-                        arena.captured_frames(),
-                        &config.pipeline,
-                        arena.len(),
-                    );
-                    analysis
-                        .metrics
-                        .generate
-                        .add(gen_ns, arena.len() as u64, arena.wire_bytes());
-                    // The generation sub-stages (all nested inside `generate`):
-                    // session emission, the global sort, and the capture tap.
-                    analysis
-                        .metrics
-                        .gen_synth
-                        .add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
-                    analysis
-                        .metrics
-                        .gen_sort
-                        .add(gen.sort_ns, gen.sorted_packets, 0);
-                    analysis
-                        .metrics
-                        .gen_tap
-                        .add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
-                    // Per-trace worker wall time covers the whole item:
-                    // generation included, not just analysis.
-                    analysis.metrics.trace_wall_ns += gen_ns;
-                    // A worker that panicked poisons the lock; the analysis
-                    // it produced is still valid, so recover the guard.
-                    if let Some(bin) = bins.get(di) {
-                        bin.lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push((i, analysis));
-                    }
+                    let out = item(w, &mut arena);
+                    // A worker that panicked poisons the lock; the results
+                    // already pushed are still valid, so recover the guard.
+                    done.lock().unwrap_or_else(|e| e.into_inner()).push((i, out));
                 }
             });
         }
     });
-    specs
-        .iter()
-        .zip(bins)
-        .map(|(spec, bin)| {
-            let mut results = bin.into_inner().unwrap_or_else(|e| e.into_inner());
-            results.sort_by_key(|(i, _)| *i);
-            DatasetAnalysis {
-                spec: *spec,
-                traces: results.into_iter().map(|(_, a)| a).collect(),
-            }
-        })
-        .collect()
+    let mut done = done.into_inner().unwrap_or_else(|e| e.into_inner());
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
-/// Compose trace-level worker threads with intra-trace shard fan-out.
-///
-/// Every worker thread runs its own shard pool, so the run's total
-/// parallelism is `threads × shards`; letting both knobs multiply past
-/// the core count only adds contention. The rule: cap the *thread* side
-/// so `threads × max(shards, 1) ≤ cores` (never below 1 thread), then
-/// cap at the number of work items. An explicit `requested` count is
-/// honored up to that cap; `requested == 0` means "use the cap".
-/// Thread count never affects results — only wall time — so capping is
-/// always safe.
-pub fn effective_threads(requested: usize, shards: usize, cores: usize, work_items: usize) -> usize {
-    let budget = (cores.max(1) / shards.max(1)).max(1);
-    let want = if requested == 0 { budget } else { requested.min(budget) };
+/// Charge one trace's generation to its analysis metrics: the `generate`
+/// stage with its nested sub-stages (session emission, the global sort,
+/// the capture tap), and the generation wall to the per-trace worker wall,
+/// which covers the whole item, not just analysis.
+pub(crate) fn add_generation(
+    m: &mut PipelineMetrics,
+    gen_ns: u64,
+    gen: &GenTiming,
+    arena: &PacketArena,
+) {
+    m.generate.add(gen_ns, arena.len() as u64, arena.wire_bytes());
+    m.gen_synth.add(gen.synth_ns, gen.synth_packets, gen.synth_bytes);
+    m.gen_sort.add(gen.sort_ns, gen.sorted_packets, 0);
+    m.gen_tap.add(gen.tap_ns, arena.len() as u64, gen.captured_bytes);
+    m.trace_wall_ns += gen_ns;
+}
+
+/// Worker threads for a run of `work_items` traces: `requested` (0 = one
+/// per core), never more than the cores or the work items, never fewer
+/// than one. Thread count never affects results — only wall time — so
+/// capping is always safe.
+pub fn effective_threads(requested: usize, cores: usize, work_items: usize) -> usize {
+    let cores = cores.max(1);
+    let want = if requested == 0 { cores } else { requested.min(cores) };
     want.min(work_items.max(1))
-}
-
-/// Pick a shard count for a run where the user fixed `--threads` but said
-/// nothing about shards: spend the cores the thread cap leaves idle on
-/// intra-trace fan-out. `requested_threads == 0` (auto threads) returns 0
-/// — trace-level workers already soak every core, and stacking shard
-/// pools under them only adds contention. Otherwise the leftover budget
-/// is `cores / threads`; two or more idle cores per worker buy that many
-/// shards (capped at 8, the top of the scaling gate's measured curve),
-/// fewer mean serial ingest is the right call. Callers that take an
-/// explicit shard request (`--shards N`, including `--shards 0` as the
-/// serial escape hatch) must bypass this entirely — shard count is a
-/// bench-comparability key, so an implicit default must never override an
-/// explicit one.
-pub fn auto_shards(requested_threads: usize, cores: usize) -> usize {
-    if requested_threads == 0 {
-        return 0;
-    }
-    let leftover = cores.max(1) / requested_threads.max(1);
-    if leftover >= 2 {
-        leftover.min(8)
-    } else {
-        0
-    }
 }
 
 /// Generate and analyze one dataset, trace-parallel.
@@ -235,41 +206,18 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_caps_threads_times_shards_at_cores() {
-        // Auto (requested 0): divide the core budget by the shard count.
-        assert_eq!(effective_threads(0, 0, 8, 100), 8);
-        assert_eq!(effective_threads(0, 1, 8, 100), 8);
-        assert_eq!(effective_threads(0, 4, 8, 100), 2);
-        assert_eq!(effective_threads(0, 8, 8, 100), 1);
-        // Explicit requests are honored up to the budget, never above.
-        assert_eq!(effective_threads(4, 4, 16, 100), 4);
-        assert_eq!(effective_threads(8, 4, 16, 100), 4);
-        assert_eq!(effective_threads(2, 4, 16, 100), 2);
-        // Never below one thread, even oversharded.
-        assert_eq!(effective_threads(1, 64, 4, 100), 1);
-        assert_eq!(effective_threads(0, 64, 4, 100), 1);
+    fn effective_threads_caps_at_cores_and_work() {
+        // Auto (requested 0): one thread per core.
+        assert_eq!(effective_threads(0, 8, 100), 8);
+        // Explicit requests are honored up to the core count, never above.
+        assert_eq!(effective_threads(4, 16, 100), 4);
+        assert_eq!(effective_threads(32, 16, 100), 16);
         // Never more threads than work items.
-        assert_eq!(effective_threads(0, 0, 16, 3), 3);
-        assert_eq!(effective_threads(8, 0, 16, 3), 3);
-        // Degenerate inputs stay sane.
-        assert_eq!(effective_threads(0, 0, 0, 0), 1);
-    }
-
-    #[test]
-    fn auto_shards_spends_leftover_cores_only() {
-        // Auto threads already soak the machine: no implicit shards.
-        assert_eq!(auto_shards(0, 16), 0);
-        // Pinned threads with idle cores: shard the leftover, capped at 8.
-        assert_eq!(auto_shards(1, 8), 8);
-        assert_eq!(auto_shards(1, 16), 8);
-        assert_eq!(auto_shards(2, 8), 4);
-        assert_eq!(auto_shards(4, 8), 2);
-        // Fewer than two idle cores per worker: serial ingest.
-        assert_eq!(auto_shards(1, 1), 0);
-        assert_eq!(auto_shards(8, 8), 0);
-        assert_eq!(auto_shards(6, 8), 0);
-        // Degenerate inputs stay sane.
-        assert_eq!(auto_shards(3, 0), 0);
+        assert_eq!(effective_threads(0, 16, 3), 3);
+        assert_eq!(effective_threads(8, 16, 3), 3);
+        // Degenerate inputs stay sane: never below one thread.
+        assert_eq!(effective_threads(0, 0, 0), 1);
+        assert_eq!(effective_threads(4, 0, 100), 1);
     }
 
     #[test]

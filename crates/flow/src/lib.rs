@@ -64,7 +64,6 @@
 pub mod fasthash;
 pub mod handler;
 pub mod key;
-pub mod shard;
 pub mod summary;
 pub mod table;
 pub mod tcp;
@@ -72,7 +71,6 @@ pub mod tcp;
 pub use fasthash::{fx_map_with_capacity, FxBuildHasher, FxHashMap, FxHasher};
 pub use handler::{CollectSummaries, FlowHandler};
 pub use key::{ConnIndex, Dir, Endpoint, FlowKey, Proto};
-pub use shard::{shard_of_key, shard_of_packet, shard_of_pair, DESIGNATED_SHARD};
 pub use summary::{ConnSummary, DirStats, TcpOutcome, TcpState};
 pub use table::{ConnTable, FlowStats, TableCarry, TableConfig};
 

@@ -320,7 +320,7 @@ fn for_loop_over_unordered(
     Some((body_open, body_close))
 }
 
-/// E007 — shared-state discipline for the coming sharded pipeline.
+/// E007 — shared-state discipline for code run by parallel trace workers.
 fn e007(sources: &[SourceFile], ws: &WorkspaceSymbols, cfg: &LintConfig) -> Vec<Finding> {
     let mut out = Vec::new();
     for (fi, file) in sources.iter().enumerate() {
@@ -336,7 +336,7 @@ fn e007(sources: &[SourceFile], ws: &WorkspaceSymbols, cfg: &LintConfig) -> Vec<
                     Code::E007,
                     file,
                     s.line,
-                    format!("`static mut {}` in worker crate `{}`: unsynchronized shared state cannot survive sharding", s.name, file.crate_name),
+                    format!("`static mut {}` in worker crate `{}`: unsynchronized shared state is unsound across trace workers", s.name, file.crate_name),
                 ));
             }
         }
@@ -363,7 +363,7 @@ fn e007(sources: &[SourceFile], ws: &WorkspaceSymbols, cfg: &LintConfig) -> Vec<
                     Code::E007,
                     file,
                     line,
-                    format!("`{word}<…>` in worker crate `{}`: non-`Sync` interior mutability blocks sharing across shard workers", file.crate_name),
+                    format!("`{word}<…>` in worker crate `{}`: non-`Sync` interior mutability blocks sharing across trace workers", file.crate_name),
                 ));
             }
         }
@@ -398,7 +398,7 @@ fn e007(sources: &[SourceFile], ws: &WorkspaceSymbols, cfg: &LintConfig) -> Vec<
                     Code::E007,
                     file,
                     line,
-                    format!("`.{word}()` inside per-packet hot fn `{fn_name}`: lock acquisition on the packet path serializes the sharded pipeline"),
+                    format!("`.{word}()` inside per-packet hot fn `{fn_name}`: lock acquisition on the packet path serializes the trace workers"),
                 ));
             }
         }

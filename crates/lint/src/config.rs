@@ -42,7 +42,7 @@ pub struct LintConfig {
     /// Files exempt from the E006 wall-clock rule: deliberate wall-clock
     /// observability (stage timers) lives here and never feeds results.
     pub wall_clock_files: Vec<String>,
-    /// Crates that will run worker-side once flow tracking shards (E007):
+    /// Crates whose code runs inside parallel trace workers (E007):
     /// no `static mut`, no non-`Sync` interior mutability, no locks in
     /// per-packet hot functions.
     pub worker_crates: Vec<String>,
@@ -76,8 +76,6 @@ impl Default for LintConfig {
             hot_map_files: v(&[
                 "crates/flow/src/table.rs",
                 "crates/core/src/pipeline.rs",
-                "crates/flow/src/shard.rs",
-                "crates/core/src/shard.rs",
             ]),
             hot_alloc_files: v(&[
                 "crates/pcap/src/arena.rs",

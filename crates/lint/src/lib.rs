@@ -14,7 +14,7 @@
 //! | E004 | every `crates/proto/src/*.rs` analyzer module is listed in `registry.rs`'s `ANALYZER_MODULES` (and vice versa) |
 //! | E005 | every `Table N`/`Figure N` claimed in `crates/core/src/analyses` is referenced from test code |
 //! | E006 | no nondeterminism on report-feeding paths in analysis crates: std `HashMap`/`HashSet` iteration reaching a report/signature/finalize sink without a sort or order-insensitive reduction, wall-clock/thread-id/env reads, float accumulation over unordered iteration |
-//! | E007 | shared-state discipline for sharded workers: no `static mut`, no non-`Sync` interior mutability (`RefCell`/`Cell`/`Rc`) in worker-side crates, no lock acquisition inside per-packet hot functions |
+//! | E007 | shared-state discipline for parallel trace workers: no `static mut`, no non-`Sync` interior mutability (`RefCell`/`Cell`/`Rc`) in worker-side crates, no lock acquisition inside per-packet hot functions |
 //! | E008 | error-taxonomy totality: public fallible fns in ingest crates return typed taxonomy errors — no `Result<_, String>`, no `bool`/`Option` smuggling on fallible-verb names, no truncating `as` casts inside `Err(..)` construction |
 //! | E009 | checkpoint/bench schema hygiene: every `Checkpoint` payload field and every key the `ent-bench-*` JSON emitters write is referenced from test code |
 //!

@@ -31,7 +31,7 @@ pub enum Code {
     /// reduction; wall-clock/thread-id/env reads; float accumulation over
     /// unordered-map iteration.
     E006,
-    /// Shared-state discipline for the sharded pipeline: `static mut`
+    /// Shared-state discipline for parallel trace workers: `static mut`
     /// items, non-`Sync` interior mutability (`RefCell`/`Cell`/`Rc`) in
     /// worker-side crates, or lock acquisition inside per-packet hot
     /// functions.
@@ -90,7 +90,7 @@ impl Code {
             Code::E004 => "protocol analyzer not registered",
             Code::E005 => "paper artifact without test reference",
             Code::E006 => "nondeterminism hazard in analysis path",
-            Code::E007 => "shared-state hazard for sharded workers",
+            Code::E007 => "shared-state hazard for parallel workers",
             Code::E008 => "untyped error on public fallible function",
             Code::E009 => "checkpoint/bench schema field without test coverage",
         }

@@ -58,11 +58,8 @@ echo "==> bench regression gate (study at gate config vs committed BENCH_pipelin
 # throttled hardware, ENT_BENCH_WAIVER=1 skips the wall-time half of the
 # gate while keeping the determinism half:
 #   ENT_BENCH_WAIVER=1 scripts/check.sh
-# --shards 0 is explicit: shard count is a bench-comparability key, and
-# a pinned --threads now auto-shards leftover cores when the flag is
-# absent, which would silently break comparability on multi-core hosts.
 cargo run --release -q -p ent-cli -- study \
-    --scale 0.01 --seed 2005 --threads 1 --shards 0 \
+    --scale 0.01 --seed 2005 --threads 1 \
     --only 'table 3' --bench-json "$BENCH_TMP/BENCH_gate.json" > /dev/null
 cargo run --release -q -p ent-cli -- bench-compare \
     BENCH_pipeline.json "$BENCH_TMP/BENCH_gate.json"
@@ -70,8 +67,10 @@ cargo run --release -q -p ent-cli -- bench-compare \
 echo "==> hot-path wall-share floor (gen_synth+frame_parse+flow_ingest < 55%)"
 # One-sided floor pinning the second perf wave: the three stages the
 # template-slot generator and the fused parse/ingest pass attacked must
-# stay under 55% of the total stage wall at the gate config (they were
-# 55.5% before the wave, ~42% after). Wall-time based, so the
+# stay under 55% of the summed stage wall at the gate config (nested
+# stages included in the sum). They were 55.5% before the wave; on a
+# 2-core host they measure ~51% since the elapsed-ingest stage that
+# re-timed parse+ingest left the sum. Wall-time based, so the
 # ENT_BENCH_WAIVER escape hatch for noisy hardware applies.
 if [ -z "${ENT_BENCH_WAIVER:-}" ]; then
     awk -F'"' '
@@ -90,20 +89,6 @@ if [ -z "${ENT_BENCH_WAIVER:-}" ]; then
 else
     echo "hot-path wall-share floor waived via ENT_BENCH_WAIVER"
 fi
-
-echo "==> shard scaling gate (1/2/4/8-shard curve vs committed BENCH_scaling.json)"
-# Runs the full D0-D4 study at the gate config once per shard count
-# (0 = serial, then 1/2/4/8) and emits the ent-bench-scaling/1 curve.
-# obs-check enforces the determinism half: events_signature, packet,
-# and trace counts must be identical at every shard count. bench-compare
-# against the committed curve then pins cross-run determinism and - only
-# on machines with >= 4 cores and no ENT_BENCH_WAIVER - the speedup
-# floor (4-shard ingest wall must beat 1-shard by the recorded floor).
-cargo run --release -q -p ent-cli -- scaling \
-    --out "$BENCH_TMP/BENCH_scaling.json"
-cargo run --release -q -p ent-cli -- obs-check "$BENCH_TMP/BENCH_scaling.json"
-cargo run --release -q -p ent-cli -- bench-compare \
-    BENCH_scaling.json "$BENCH_TMP/BENCH_scaling.json"
 
 echo "==> monitor smoke (epoch reports + kill/resume equivalence + obs gate)"
 # Resident-monitor contract (DESIGN §9) on a small capture: a run killed at

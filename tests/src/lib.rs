@@ -160,17 +160,15 @@ pub fn pack_fingerprints(scale: f64, seed: u64) -> Vec<(String, u64, usize)> {
         .collect()
 }
 
-/// Run the trimmed D0–D4 study at `scale` with an explicit thread count,
-/// connection-table hasher selection, and intra-trace shard count
-/// (0 = serial path). The differential equivalence suite calls this with
-/// every (threads, use_std_hash, shards) combination it gates and
-/// requires identical results.
+/// Run the trimmed D0–D4 study at `scale` with an explicit thread count
+/// and connection-table hasher selection. The differential equivalence
+/// suite calls this with every (threads, use_std_hash) combination it
+/// gates and requires identical results.
 pub fn differential_study(
     scale: f64,
     threads: usize,
     use_std_hash: bool,
     subnets: u16,
-    shards: usize,
 ) -> Vec<DatasetAnalysis> {
     let specs = trimmed_specs(subnets);
     run_datasets(
@@ -183,7 +181,6 @@ pub fn differential_study(
             },
             pipeline: PipelineConfig {
                 use_std_hash,
-                shards,
                 ..Default::default()
             },
             threads,

@@ -17,10 +17,7 @@
 
 use ent_core::{Monitor, MonitorConfig};
 use ent_integration::alloc_count::{self, CountingAlloc};
-use ent_flow::{
-    shard_of_key, shard_of_packet, shard_of_pair, ConnSummary, ConnTable, Endpoint, FlowHandler,
-    FlowKey, Proto, TableConfig,
-};
+use ent_flow::{ConnSummary, ConnTable, FlowHandler, TableConfig};
 use ent_pcap::TraceMeta;
 use ent_wire::{build, ethernet::MacAddr, ipv4::Addr, Packet, Timestamp};
 
@@ -75,44 +72,7 @@ fn finish_alloc_count(n: u16) -> (u64, u64) {
     (tally.allocs, sink.closed)
 }
 
-/// Shard steering sits on the per-packet dispatch path of the sharded
-/// pipeline, so it must never touch the heap: hashing a host pair is pure
-/// register work. A reintroduced allocation (e.g. a keyed hasher that
-/// boxes state) would cost O(packets) allocations per trace.
-#[test]
-fn shard_steering_makes_zero_allocations() {
-    let frame = build::udp_frame(
-        &build::UdpFrameSpec {
-            src_mac: MacAddr::from_host_id(3),
-            dst_mac: MacAddr::from_host_id(4),
-            src_ip: Addr::new(10, 0, 3, 7),
-            dst_ip: Addr::new(10, 0, 4, 11),
-            src_port: 40_000,
-            dst_port: 53,
-            ttl: 64,
-        },
-        b"steer",
-    );
-    let pkt = Packet::parse(&frame).expect("generated frame parses");
-    let key = FlowKey {
-        proto: Proto::Udp,
-        orig: Endpoint::new(Addr::new(10, 0, 3, 7), 40_000),
-        resp: Endpoint::new(Addr::new(10, 0, 4, 11), 53),
-    };
-    let (acc, tally) = alloc_count::count(|| {
-        let mut acc = 0usize;
-        for n in [1usize, 2, 4, 8] {
-            acc += shard_of_pair(Addr::new(10, 0, 3, 7), Addr::new(10, 0, 4, 11), n);
-            acc += shard_of_key(&key, n);
-            acc += shard_of_packet(&pkt, n);
-        }
-        acc
-    });
-    assert!(acc < 3 * (1 + 2 + 4 + 8), "steering out of range");
-    assert_eq!(tally.allocs, 0, "shard steering allocated on the dispatch path");
-}
-
-/// The fused parse+ingest pass (Engine::ingest_dissected) in steady
+/// The fused parse+ingest pass (Engine::ingest_frame) in steady
 /// state: once the connection table, per-second bins and analyzer slab
 /// are warm, re-observing established flows must perform **zero** heap
 /// allocations per packet — frame dissection, layer tallying, stage-stat

@@ -109,7 +109,7 @@ fn assert_equivalent(reference: &[DatasetAnalysis], candidate: &[DatasetAnalysis
 /// reference study is generated once.
 #[test]
 fn optimized_pipeline_is_output_identical_to_std_hash_reference() {
-    let reference = differential_study(SCALE, 1, true, SUBNETS, 0);
+    let reference = differential_study(SCALE, 1, true, SUBNETS);
     // Sanity: the workload exercises every dataset and produces records.
     assert_eq!(reference.len(), 5);
     assert!(reference.iter().all(|d| !d.traces.is_empty()));
@@ -120,36 +120,25 @@ fn optimized_pipeline_is_output_identical_to_std_hash_reference() {
         .sum();
     assert!(total_conns > 1_000, "workload too small: {total_conns}");
 
-    let optimized = differential_study(SCALE, 1, false, SUBNETS, 0);
+    let optimized = differential_study(SCALE, 1, false, SUBNETS);
     assert_equivalent(&reference, &optimized, "fx-hash @ 1 thread");
 
-    let optimized_mt = differential_study(SCALE, 4, false, SUBNETS, 0);
+    let optimized_mt = differential_study(SCALE, 4, false, SUBNETS);
     assert_equivalent(&reference, &optimized_mt, "fx-hash @ 4 threads");
 
-    let reference_mt = differential_study(SCALE, 4, true, SUBNETS, 0);
+    let reference_mt = differential_study(SCALE, 4, true, SUBNETS);
     assert_equivalent(&reference, &reference_mt, "std-hash @ 4 threads");
-
-    // The sharded pipeline at one shard is event-for-event identical to
-    // the serial path across all three layers: every frame steers to the
-    // one worker in arrival order, so the connection table sees the exact
-    // ingest sequence the serial engine does — same records, same order,
-    // same peak.
-    let one_shard = differential_study(SCALE, 1, false, SUBNETS, 1);
-    assert_equivalent(&reference, &one_shard, "1 shard @ 1 thread");
 }
 
-/// The sharding determinism gate at test scale: `events_signature` must
-/// be byte-identical across the serial path and every shard count, for
-/// more than one generator seed. (The committed `BENCH_scaling.json`
-/// pins the same invariant at the gate configuration — scale 0.01, seed
-/// 2005 — via `scripts/check.sh`.) `peak_open_conns` is the one value
-/// allowed to vary: a sharded run reports the sum of per-shard peaks,
-/// which can only be ≥ the serial peak.
+/// The thread-count determinism gate at test scale, for more than one
+/// generator seed: `events_signature`, the packet count and the peak of
+/// open connections must be identical whether the trace workers run on
+/// one thread or several.
 #[test]
-fn events_signature_is_invariant_across_shard_counts() {
+fn events_signature_is_invariant_across_thread_counts() {
     for seed in [1u64, 2005] {
         let mut curve: Vec<(usize, u64, u64, u64)> = Vec::new();
-        for shards in [0usize, 1, 2, 4, 8] {
+        for threads in [1usize, 2, 4] {
             let study = run_datasets(
                 &trimmed_specs(2),
                 &StudyConfig {
@@ -158,11 +147,8 @@ fn events_signature_is_invariant_across_shard_counts() {
                         seed,
                         hosts_per_subnet: Some(10),
                     },
-                    pipeline: PipelineConfig {
-                        shards,
-                        ..Default::default()
-                    },
-                    threads: 1,
+                    pipeline: PipelineConfig::default(),
+                    threads,
                 },
             );
             let mut total = PipelineMetrics::default();
@@ -170,26 +156,19 @@ fn events_signature_is_invariant_across_shard_counts() {
                 total.absorb(&d.pipeline_metrics());
             }
             curve.push((
-                shards,
+                threads,
                 total.events_signature_hash(),
                 total.packets(),
                 total.peak_open_conns,
             ));
         }
-        let (_, ref_sig, ref_packets, serial_peak) = curve[0];
+        let (_, ref_sig, ref_packets, ref_peak) = curve[0];
         assert!(ref_packets > 0, "seed {seed}: empty workload");
-        for &(shards, sig, packets, peak) in &curve {
+        for &(threads, sig, packets, peak) in &curve {
             assert_eq!(
-                sig, ref_sig,
-                "seed {seed}: events signature drifted at {shards} shards"
-            );
-            assert_eq!(
-                packets, ref_packets,
-                "seed {seed}: packet count drifted at {shards} shards"
-            );
-            assert!(
-                peak >= serial_peak || shards == 0,
-                "seed {seed}: sum-of-shard-peaks {peak} below serial peak {serial_peak}"
+                (sig, packets, peak),
+                (ref_sig, ref_packets, ref_peak),
+                "seed {seed}: signature, packets or peak drifted at {threads} threads"
             );
         }
     }

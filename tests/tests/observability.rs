@@ -32,7 +32,6 @@ fn study_metrics_export_is_schema_valid_and_live() {
             scale: gen.scale,
             seed: gen.seed,
             threads: 2,
-            shards: 0,
             study_wall_ns: total.trace_wall_ns,
             datasets,
         },
